@@ -1,8 +1,8 @@
 """Character sums over Pascal's triangle mod p.
 
 Exact arithmetic for the row sums T(n) and their cumulative sums phi(n)
-twisted by a Dirichlet character mod p, residue-occurrence counting via
-the character-sum formula, row-regular/row-dominant classification,
+twisted by a Dirichlet character mod p, residue-occurrence counting through
+the group ring of discrete logs, row-regular/row-dominant classification,
 growth-rate diagnostics, and a random model of the fundamental domain.
 """
 
@@ -43,7 +43,6 @@ from .characters import (
     character,
     conjugate,
     cyclotomic_coeffs,
-    evaluate,
     group,
 )
 from .classification import (
@@ -95,8 +94,7 @@ __all__ = [
     "CountVector", "FundamentalTables", "T_chi", "a_row", "build_tables",
     "phi_chi",
     "Character", "Comparison", "CycInt", "PrecisionPolicy", "UnityOrZero",
-    "abs_compare", "character", "conjugate", "cyclotomic_coeffs",
-    "evaluate", "group",
+    "abs_compare", "character", "conjugate", "cyclotomic_coeffs", "group",
     "ClassificationRecord", "MeanReport", "Verdict", "classify",
     "fundamental_scatter", "mean_report", "scan",
     "DigitString", "PrimeContext", "is_prime", "least_primitive_root",

@@ -24,35 +24,44 @@ from .char_sequences import FundamentalTables, build_tables, phi_chi
 from .characters import Character, Comparison, CycInt, PrecisionPolicy, abs_compare, character
 from .classification import Verdict, classify
 from .core_arith import is_prime, make_context
-from .errors import LimitExceeded, NotPrime, NotRowDominant, UndefinedTheta, WeilViolation
+from .errors import (
+    IndexOutOfRange,
+    LimitExceeded,
+    NotPrime,
+    NotRowDominant,
+    UndefinedTheta,
+    WeilViolation,
+)
 
 ALPHA_WORK_LIMIT = 10**7
 _SWEEP_CHUNK = 1 << 19
 
 
-def _mpc_parts(x: CycInt, bits: int) -> tuple[float, float, float, int]:
-    """(re, im, |value|, error exponent) of the embedding at `bits` precision.
-
-    The error exponent bounds log2 of the absolute rounding error; callers
-    accept the value once its magnitude clears that floor with room to
-    spare, otherwise they escalate.
-    """
-    v = x.embed_mpc(bits)
-    with mpmath.workprec(bits):
-        mag = float(mpmath.fabs(v))
-        re, im = float(v.real), float(v.imag)
-    err_exp = (x.coeff_l1() + 1).bit_length() + x.order.bit_length() + 7 - bits
-    return re, im, mag, err_exp
-
-
-def _embed_value(x: CycInt) -> complex:
-    """embed(x) at whatever precision the coefficient mass demands.
+def _embed_mpc(x: CycInt) -> mpmath.mpc:
+    """embed(x) in mpmath at whatever precision the coefficient mass demands.
 
     Canonical coefficients of long products carry l1 mass far above the
     embedded modulus, so any fixed precision can cancel to pure noise;
-    keep doubling the working precision until the magnitude separates
-    from the rounding floor, or certify an exact zero.
+    keep doubling the working precision until the magnitude clears the
+    rounding floor with room to spare, or certify an exact zero.
     """
+    l1 = x.coeff_l1()
+    bits = max(128, l1.bit_length() + 64)
+    for _ in range(12):
+        v = x.embed_mpc(bits)
+        # log2 of a bound on the absolute rounding error at this precision
+        err_exp = (l1 + 1).bit_length() + x.order.bit_length() + 7 - bits
+        if mpmath.fabs(v) > mpmath.ldexp(1, err_exp + 6):
+            return v
+        if x.is_zero():
+            return mpmath.mpc(0)
+        bits *= 2
+    return v
+
+
+def _embed_value(x: CycInt) -> complex:
+    """embed(x) as a double, from the double path when it clears the
+    cancellation floor and from _embed_mpc otherwise."""
     l1 = x.coeff_l1()
     if l1 == 0:
         return 0j
@@ -62,15 +71,7 @@ def _embed_value(x: CycInt) -> complex:
             return v
     except OverflowError:
         pass
-    bits = max(128, l1.bit_length() + 64)
-    for _ in range(12):
-        re, im, mag, err_exp = _mpc_parts(x, bits)
-        if mag > 0.0 and math.log2(mag) > err_exp + 6:
-            return complex(re, im)
-        if x.is_zero():
-            return 0j
-        bits *= 2
-    return complex(re, im)
+    return complex(_embed_mpc(x))
 
 
 def _abs_embed(x: CycInt) -> float:
@@ -293,8 +294,11 @@ def psi(
     theta = growth_profile(chi, tables).theta
     if m == 1:
         return complex(1.0)
-    val = _embed_value(phi_chi(m, tables))
-    return val / cmath.exp(theta * math.log(m))
+    # phi(m) and m^theta both leave double range long before their
+    # quotient does, so divide in mpmath and round once at the end
+    val = _embed_mpc(phi_chi(m, tables))
+    with mpmath.workprec(128):
+        return complex(val / mpmath.exp(mpmath.mpc(theta) * mpmath.log(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +482,19 @@ def convergence_ratio(
     of rows 0..n-1; it should drift toward 1 as n grows. scale = 1 walks
     the prime powers themselves; other scales probe between them.
     """
-    from .char_sequences import A_count_formula
-
+    if r % p == 0:
+        raise IndexOutOfRange(f"r={r} is divisible by p={p}")
     ctx = make_context(p)
-    tables0 = build_tables(character(ctx, 0))
+    e = ctx.dlog[r % p]
     frac = Fraction(scale)
     out: list[tuple[int, int, int, int, float]] = []
     for k in range(0, k_max + 1):
         n = int(frac * p**k)
         if n < 1:
             continue
-        a = A_count_formula(n, r, ctx)
-        phi0 = phi_chi(n, tables0).coeffs[0]
+        # the dlog histogram of rows 0..n-1 holds both A_n(r) and phi_0(n)
+        hist = phi_chi(n, ctx.group_ring_tables).coeffs
+        a, phi0 = hist[e], sum(hist)
         ratio = float(Fraction(a * (p - 1), phi0))
         out.append((k, n, a, phi0, ratio))
     return out

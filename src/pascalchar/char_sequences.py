@@ -5,7 +5,12 @@ below n. Both are fully determined by the first p rows: T is a digitwise
 product over the base-p digits of n, and phi obeys a two-term recursion
 in the leading digit. Everything here stays exact (CycInt coefficient
 vectors, arbitrary-size integers); numeric embeddings happen only at the
-reporting edge or inside the guarded fast path of A_count_formula.
+reporting edge.
+
+Residue counts need no characters at all. CycInt multiplication is
+convolution in the group ring Z[C_{p-1}], so for the generator character
+chi(g) = zeta the same recursions carry dlog histograms: T(n) tallies
+row n and phi(n) tallies rows 0..n-1 by discrete log.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, CycInt, _cyclic_convolve, _roots, group
+from .characters import Character, CycInt
 from .core_arith import ROW_ORACLE_LIMIT, PrimeContext, to_digits
-from .errors import IndexOutOfRange, IntegralityViolation, LimitExceeded
+from .errors import IndexOutOfRange, LimitExceeded
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,28 +107,23 @@ class CountVector:
         return sum(self.counts)
 
 
+def _residue_counts(hist: CycInt, entries: int, ctx: PrimeContext) -> CountVector:
+    """Counts per residue from the dlog histogram of the nonzero entries
+    among `entries` entries; the zeros are what remains."""
+    counts = [entries - sum(hist.coeffs)] + [0] * (ctx.p - 1)
+    for r in range(1, ctx.p):
+        counts[r] = hist.coeffs[ctx.dlog[r]]
+    return CountVector(tuple(counts))
+
+
 def a_row(n: int, ctx: PrimeContext) -> CountVector:
     """Residue counts within the single row n, exactly.
 
     Nonzero entries factor through base-p digits, so their discrete-log
-    distribution is the cyclic convolution of the per-digit histograms;
-    the zero count is what remains of the n+1 entries.
+    histogram is T(n) of the generator character, the group-ring product
+    of the per-digit row histograms.
     """
-    if n < 0:
-        raise IndexOutOfRange(f"n={n} negative")
-    p = ctx.p
-    n_exp = max(ctx.order, 1)
-    digits = to_digits(n, p).digits
-    hist = ctx.row_dlog_hist
-    acc = tuple(int(c) for c in hist[digits[0]])
-    nonzero = digits[0] + 1
-    for d in digits[1:]:
-        acc = _cyclic_convolve(acc, tuple(int(c) for c in hist[d]), n_exp)
-        nonzero *= d + 1
-    counts = [n + 1 - nonzero] + [0] * (p - 1)
-    for r in range(1, p):
-        counts[r] = acc[ctx.dlog[r] % n_exp]
-    return CountVector(tuple(counts))
+    return _residue_counts(T_chi(n, ctx.group_ring_tables), n + 1, ctx)
 
 
 def A_count_bruteforce(n: int, ctx: PrimeContext, limit: int = ROW_ORACLE_LIMIT) -> CountVector:
@@ -147,72 +147,26 @@ def A_count_bruteforce(n: int, ctx: PrimeContext, limit: int = ROW_ORACLE_LIMIT)
     return CountVector(tuple(int(c) for c in counts))
 
 
-def _phi_all_characters(n: int, ctx: PrimeContext) -> list[CycInt]:
-    return [phi_chi(n, build_tables(chi)) for chi in group(ctx)]
+def A_count_formula(n: int, r: int, ctx: PrimeContext) -> int:
+    """Count occurrences of residue r in rows 0..n-1.
 
-
-def _exact_count(phis: list[CycInt], ctx: PrimeContext, r: int) -> int:
-    n_chars = ctx.order
-    total = CycInt.zero(n_chars)
-    e = ctx.dlog[r % ctx.p]
-    for k, phi in enumerate(phis):
-        total = total + phi.shift(-k * e)
-    reduced = total.canonical()
-    if any(reduced[1:]) or reduced[0] % n_chars or reduced[0] < 0:
-        raise IntegralityViolation(
-            f"character sum for r={r} does not reduce to a nonnegative multiple of {n_chars}"
-        )
-    return reduced[0] // n_chars
-
-
-def A_count_formula(
-    n: int,
-    r: int,
-    ctx: PrimeContext,
-    guard: float = 1e-6,
-    _phis: list[CycInt] | None = None,
-) -> int:
-    """Count occurrences of residue r in rows 0..n-1 via the character sum.
-
-    A(r) = (1/(p-1)) * sum over all characters of conj(chi)(r) * phi(n).
-    The double-precision path is accepted only when the imaginary part
-    and the distance to the nearest integer both stay under `guard`;
-    otherwise the same sum is redone in exact cyclotomic arithmetic.
+    The character-sum inversion A(r) = (1/(p-1)) * sum over all
+    characters of conj(chi)(r) * phi_chi(n) reads one coefficient of a
+    single group-ring element: phi(n) of the generator character is the
+    dlog histogram of rows 0..n-1, and every other phi_chi(n) is its
+    image under e -> k*e. So A(r) is that histogram at dlog r, from one
+    digit recursion with exact integer coefficients.
     """
     p = ctx.p
     if not 1 <= r % p <= p - 1:
         raise IndexOutOfRange(f"r={r} is divisible by p={p}")
-    phis = _phis if _phis is not None else _phi_all_characters(n, ctx)
-    n_chars = ctx.order
-    roots = _roots(max(n_chars, 1))
-    e = ctx.dlog[r % p]
-    try:
-        # doubles are only trusted when their rounding floor (driven by the
-        # coefficient mass, which can dwarf the embedded values) is under
-        # the guard; otherwise the exact path decides
-        floor = float(sum(phi.coeff_l1() for phi in phis) + n_chars + 1) * 2.0**-46
-        if floor < guard:
-            val = sum(
-                roots[(-k * e) % n_chars] * phi.embed() for k, phi in enumerate(phis)
-            ) / n_chars
-            nearest = round(val.real)
-            if abs(val.imag) < guard and abs(val.real - nearest) < guard and nearest >= 0:
-                return int(nearest)
-    except OverflowError:
-        pass
-    return _exact_count(phis, ctx, r)
+    return phi_chi(n, ctx.group_ring_tables).coeffs[ctx.dlog[r % p]]
 
 
-def A_count_formula_all(n: int, ctx: PrimeContext, guard: float = 1e-6) -> CountVector:
-    """Counts for every residue at once, sharing the per-character phi values.
+def A_count_formula_all(n: int, ctx: PrimeContext) -> CountVector:
+    """Counts for every residue at once, from the same single histogram.
 
     The zero count is recovered by conservation: rows 0..n-1 hold
     n(n+1)/2 entries in total.
     """
-    p = ctx.p
-    phis = _phi_all_characters(n, ctx)
-    counts = [0] * p
-    for r in range(1, p):
-        counts[r] = A_count_formula(n, r, ctx, guard=guard, _phis=phis)
-    counts[0] = n * (n + 1) // 2 - sum(counts[1:])
-    return CountVector(tuple(counts))
+    return _residue_counts(phi_chi(n, ctx.group_ring_tables), n * (n + 1) // 2, ctx)

@@ -289,21 +289,6 @@ class CycInt:
             return total
 
 
-def cyc_add(a: CycInt, b: CycInt) -> CycInt:
-    return a + b
-
-
-def cyc_sub(a: CycInt, b: CycInt) -> CycInt:
-    return a - b
-
-
-def cyc_shift_mul(a: CycInt, b: "CycInt | int") -> CycInt:
-    """Multiply by another CycInt, or by zeta^e when b is an exponent."""
-    if isinstance(b, CycInt):
-        return a * b
-    return a.shift(b)
-
-
 # ---------------------------------------------------------------------------
 # characters
 
@@ -349,10 +334,6 @@ def character(ctx: PrimeContext, k: int) -> Character:
     if not 0 <= k < ctx.order:
         raise IndexOutOfRange(f"k={k} outside [0, {ctx.order})")
     return Character(ctx, k)
-
-
-def evaluate(chi: Character, r: int) -> UnityOrZero:
-    return chi(r)
 
 
 def conjugate(chi: Character) -> Character:

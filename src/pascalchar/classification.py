@@ -11,7 +11,6 @@ near-tie exactly so no verdict rests on floating point alone.
 from __future__ import annotations
 
 import csv
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -272,8 +271,3 @@ def write_means_csv(reports: list[MeanReport], path: str) -> None:
                 ]
             )
 
-
-def timed_scan(p_max: int, jobs: int = 1) -> tuple[list[ClassificationRecord], float]:
-    start = time.perf_counter()
-    records = scan(p_max, jobs=jobs)
-    return records, time.perf_counter() - start

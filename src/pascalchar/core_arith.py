@@ -11,10 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import LimitExceeded, NotPrime
+
+if TYPE_CHECKING:
+    from .char_sequences import FundamentalTables
 
 # Witnesses making Miller-Rabin deterministic for all inputs below 3.3e24,
 # which covers every 64-bit integer.
@@ -128,6 +132,21 @@ class PrimeContext:
             for entry in row:
                 hist[b, self.dlog[entry]] += 1
         return hist
+
+    @cached_property
+    def group_ring_tables(self) -> FundamentalTables:
+        """Fundamental tables of the generator character chi(g) = zeta.
+
+        Its exponent map e -> e is the identity, so the exact T and phi
+        values are the dlog histograms themselves, as elements of the
+        group ring Z[C_{p-1}]: phi_chi(n) over these tables tallies every
+        nonzero entry of rows 0..n-1 by discrete log, and T_chi(n) does
+        the same for row n. At p = 2 the group is trivial and k = 0.
+        """
+        from .char_sequences import build_tables
+        from .characters import character
+
+        return build_tables(character(self, 1 % self.order))
 
     @cached_property
     def roots(self) -> np.ndarray:

@@ -23,6 +23,7 @@ from pascalchar.bounds_asymptotics import (
     vartheta,
     vartheta_report,
 )
+from pascalchar.char_sequences import build_tables, phi_chi
 from pascalchar.characters import CycInt, character
 from pascalchar.core_arith import make_context
 from pascalchar.errors import LimitExceeded, NotPrime, NotRowDominant
@@ -117,6 +118,37 @@ def test_psi_rejects_bad_inputs(contexts):
         psi(0, chi)
     with pytest.raises(ValueError):
         psi(Fraction(-2, 5), chi)
+
+
+def _psi_reference(m, chi):
+    """phi(m)/m^theta from the canonical form of phi(m), embedded with
+    enough bits to survive cancellation, and theta at 256 bits."""
+    tables = build_tables(chi)
+
+    def embed(x):
+        coeffs = x.canonical()
+        bits = sum(abs(c) for c in coeffs).bit_length() + 128
+        with mpmath.workprec(bits):
+            return +mpmath.fsum(
+                c * mpmath.expjpi(mpmath.mpf(2 * j) / x.order) for j, c in enumerate(coeffs) if c
+            )
+
+    val = embed(phi_chi(m, tables))
+    with mpmath.workprec(256):
+        theta = mpmath.log(embed(tables.phi_p)) / mpmath.log(chi.ctx.p)
+        return val / mpmath.exp(theta * mpmath.log(m))
+
+
+@pytest.mark.parametrize("digits", [400, 1000])
+def test_psi_beyond_double_range(ctx37, digits):
+    # phi(m) and m^theta both pass 10^308 here; only their quotient is O(1)
+    chi = character(ctx37, 10)
+    m = int("7" * digits)
+    got = psi(m, chi)
+    assert cmath.isfinite(got)
+    want = _psi_reference(m, chi)
+    assert abs(mpmath.mpc(got) - want) <= 1e-10 * abs(want)
+    assert psi(Fraction(m * 37, 37**5), chi) == got
 
 
 def test_psi_continuity_probe(contexts):

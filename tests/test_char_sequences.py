@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pascalchar.char_sequences import (
@@ -20,7 +20,7 @@ from pascalchar.char_sequences import (
     build_tables,
     phi_chi,
 )
-from pascalchar.characters import CycInt, character
+from pascalchar.characters import CycInt, character, group
 from pascalchar.core_arith import make_context, row_mod_p
 from pascalchar.errors import IndexOutOfRange, LimitExceeded
 
@@ -115,6 +115,24 @@ def test_phi_product_and_shift_identities(p, data):
 # residue counts
 
 
+def _character_inversion_count(n, r, ctx):
+    """Oracle: the paper's counting formula, summed exactly.
+
+    A_n(r) = (1/(p-1)) * sum over all p-1 characters of conj(chi)(r) *
+    phi_chi(n), with each phi_chi(n) from its own tables and the sum
+    reduced to canonical form in Z[zeta_{p-1}], where it must be a
+    nonnegative integer multiple of p-1.
+    """
+    order = ctx.order
+    e = ctx.dlog[r % ctx.p]
+    total = CycInt.zero(order)
+    for chi in group(ctx):
+        total = total + phi_chi(n, build_tables(chi)).shift(-chi.k * e)
+    reduced = total.canonical()
+    assert not any(reduced[1:]) and reduced[0] >= 0 and reduced[0] % order == 0, reduced
+    return reduced[0] // order
+
+
 def _brute_row_counts(n, p):
     row = [math.comb(n, m) % p for m in range(n + 1)]
     counts = [0] * p
@@ -173,16 +191,28 @@ def test_formula_matches_bruteforce_random(contexts):
             assert list(formula.counts) == list(brute.counts), (p, n)
 
 
-def test_formula_exact_path_agrees_with_double_path(contexts):
-    # guard=0 disables the double fast path, forcing exact cyclotomic
-    # summation; both routes must agree
+def test_formula_agrees_with_character_inversion(contexts):
     for p in (3, 7, 13):
         ctx = contexts[p]
         for n in (1, 9, 100, 999):
             for r in range(1, p):
-                fast = A_count_formula(n, r, ctx)
-                exact = A_count_formula(n, r, ctx, guard=0.0)
-                assert fast == exact, (p, n, r)
+                assert A_count_formula(n, r, ctx) == _character_inversion_count(n, r, ctx), (p, n, r)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(min_value=0, max_value=1500), st.data())
+def test_group_ring_count_equals_character_inversion_and_bruteforce(contexts, p, n, data):
+    ctx = contexts[p]
+    r = data.draw(st.integers(min_value=1, max_value=p - 1))
+    got = A_count_formula(n, r, ctx)
+    assert got == _character_inversion_count(n, r, ctx)
+    assert got == A_count_bruteforce(n, ctx)[r]
+
+
+def test_formula_agrees_with_character_inversion_at_30_digits(ctx37):
+    n = 738_205_916_473_020_581_364_992_017_455
+    for r in (1, 5, 36):
+        assert A_count_formula(n, r, ctx37) == _character_inversion_count(n, r, ctx37)
 
 
 def test_formula_counts_p2_all_entries_nonzero(contexts):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -189,6 +190,17 @@ def test_psi_csv_and_grid(tmp_path, capsys):
     assert float(first[0]) == 1.0
     assert float(first[1]) == 1.0  # psi(1) = 1 exactly
     assert main(["psi", "--p", "5", "--k", "1", "--grid", "oops"]) == 2
+
+
+def test_psi_grid_past_double_range(capsys):
+    # numerators near 5^500 ~ 10^349: phi and n^theta both leave double range
+    assert main(["psi", "--p", "5", "--k", "1", "--grid", "1:2:5@500"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        assert math.isfinite(float(line.rsplit("|psi| = ", 1)[1]))
 
 
 def test_means_table(tmp_path, capsys):
