@@ -21,7 +21,15 @@ import mpmath
 import numpy as np
 
 from .char_sequences import FundamentalTables, build_tables, phi_chi
-from .characters import Character, Comparison, CycInt, PrecisionPolicy, abs_compare, character
+from .characters import (
+    Character,
+    Comparison,
+    CycInt,
+    PrecisionPolicy,
+    abs_compare,
+    character,
+    character_sums,
+)
 from .classification import Verdict, classify
 from .core_arith import is_prime, make_context
 from .errors import (
@@ -291,14 +299,16 @@ def psi(
         m //= p
     if tables is None:
         tables = build_tables(chi)
-    theta = growth_profile(chi, tables).theta
+    growth_profile(chi, tables)  # raises UndefinedTheta when phi(p) is zero
     if m == 1:
         return complex(1.0)
     # phi(m) and m^theta both leave double range long before their
-    # quotient does, so divide in mpmath and round once at the end
+    # quotient does, and a double theta loses digits in proportion to
+    # log m, so take theta, divide in mpmath and round once at the end
     val = _embed_mpc(phi_chi(m, tables))
     with mpmath.workprec(128):
-        return complex(val / mpmath.exp(mpmath.mpc(theta) * mpmath.log(m)))
+        theta = mpmath.log(_embed_mpc(tables.phi_p)) / mpmath.log(p)
+        return complex(val / mpmath.exp(theta * mpmath.log(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +385,7 @@ def bound_report(p: int, weil_slack: float = 1e-7) -> BoundReport:
     if p < 3:
         raise ValueError("bound report needs p >= 3")
     ctx = make_context(p)
-    n_chars = ctx.order
-    roots = ctx.roots
-    base = np.arange(n_chars)
-    totals = ctx.row_dlog_hist.sum(axis=0).astype(np.float64)
-    max_abs_phi = 0.0
-    for k in range(1, n_chars):
-        max_abs_phi = max(max_abs_phi, abs(complex(roots[(k * base) % n_chars] @ totals)))
+    max_abs_phi = float(np.abs(character_sums(ctx.row_dlog_hist.sum(axis=0))[1:]).max())
     s = math.isqrt(p)
     weil_A = p * p - 2 * p * s + p + s * s + s
     weil_B = s * s + s - 2
@@ -390,16 +394,13 @@ def bound_report(p: int, weil_slack: float = 1e-7) -> BoundReport:
     weil_simple = (p * p - p * rp + 5 * p - rp) / 2.0
     columns = 0
     for col in range(2, s + 1):
-        hist = np.zeros(n_chars, dtype=np.float64)
-        for m in range(col, p):
-            hist[ctx.dlog[ctx.fd_rows[m][col]]] += 1.0
-        limit = col * rp + weil_slack * p
-        for k in range(1, n_chars):
-            val = abs(complex(roots[(k * base) % n_chars] @ hist))
-            if val > limit:
-                raise WeilViolation(
-                    f"p={p} column {col} character k={k}: |sum|={val} > {col}*sqrt(p)"
-                )
+        dlogs = [ctx.dlog[ctx.fd_rows[m][col]] for m in range(col, p)]
+        sums = np.abs(character_sums(np.bincount(dlogs, minlength=ctx.order)))
+        k = 1 + int(np.argmax(sums[1:]))
+        if sums[k] > col * rp + weil_slack * p:
+            raise WeilViolation(
+                f"p={p} column {col} character k={k}: |sum|={sums[k]} > {col}*sqrt(p)"
+            )
         columns += 1
     return BoundReport(
         p=p,

@@ -345,6 +345,18 @@ def group(ctx: PrimeContext) -> list[Character]:
     return [Character(ctx, k) for k in range(ctx.order)]
 
 
+def character_sums(hist: np.ndarray) -> np.ndarray:
+    """sum_e hist[..., e] * zeta^(k*e) for every k, along the last axis.
+
+    A real tally of entries by discrete log goes to its sum over chi_k for
+    all k at once: with chi_k(g^e) = zeta^(k*e) that sum is an inverse DFT
+    (Garfield-Wilf's group-ring view), here the conjugate of the forward
+    FFT because hist is real. Row b of row_dlog_hist gives T_k(b); the
+    column totals give phi_k(p).
+    """
+    return np.conj(np.fft.fft(hist, axis=-1))
+
+
 # ---------------------------------------------------------------------------
 # magnitude comparison with precision escalation
 
@@ -380,14 +392,11 @@ class PrecisionPolicy:
         return cls(ladder=bits)
 
 
-def _mp_abs_and_err(x: CycInt, bits: int) -> tuple[float, float]:
+def _mp_err(x: CycInt, bits: int) -> mpmath.mpf:
     # error bound: order terms, each rounded at 2^-bits relative, scaled by
-    # the coefficient mass; generous constant keeps the bound rigorous.
-    val = x.embed_mpc(bits)
-    with mpmath.workprec(bits):
-        mag = float(mpmath.fabs(val))
-    err = float((x.coeff_l1() + 1) * x.order) * 2.0 ** (6 - bits)
-    return mag, err
+    # the coefficient mass; generous constant keeps the bound rigorous. An
+    # mpf, since the mass of a long product can leave double range.
+    return mpmath.ldexp((x.coeff_l1() + 1) * x.order, 6 - bits)
 
 
 def abs_compare(a: CycInt, b: CycInt, policy: PrecisionPolicy | None = None) -> Comparison:
@@ -417,19 +426,20 @@ def abs_compare(a: CycInt, b: CycInt, policy: PrecisionPolicy | None = None) -> 
             if abs(da - db) > max(policy.double_tol * scale, floor):
                 return Comparison.GREATER if da > db else Comparison.LESS
         else:
-            da, ea = _mp_abs_and_err(a, bits)
-            db, eb = _mp_abs_and_err(b, bits)
-            if abs(da - db) > ea + eb:
-                return Comparison.GREATER if da > db else Comparison.LESS
+            with mpmath.workprec(bits):
+                da, db = mpmath.fabs(a.embed_mpc(bits)), mpmath.fabs(b.embed_mpc(bits))
+                if abs(da - db) > _mp_err(a, bits) + _mp_err(b, bits):
+                    return Comparison.GREATER if da > db else Comparison.LESS
 
     diff = a * a.conjugate() - b * b.conjugate()
     if diff.is_zero():
         return Comparison.EQUAL
-    bits = max(policy.ladder[-1], 64)
+    # the rounding error scales with the coefficient mass, so a fixed
+    # precision is pure noise once that mass outgrows it
+    bits = max(policy.ladder[-1], diff.coeff_l1().bit_length() + 64)
     val = diff.embed_mpc(bits)
     with mpmath.workprec(bits):
-        real = float(mpmath.re(val))
-    err = float((diff.coeff_l1() + 1) * diff.order) * 2.0 ** (6 - bits)
-    if abs(real) > err:
-        return Comparison.GREATER if real > 0 else Comparison.LESS
+        real = mpmath.re(val)
+        if abs(real) > _mp_err(diff, bits):
+            return Comparison.GREATER if real > 0 else Comparison.LESS
     return Comparison.UNDECIDED

@@ -148,12 +148,6 @@ class PrimeContext:
 
         return build_tables(character(self, 1 % self.order))
 
-    @cached_property
-    def roots(self) -> np.ndarray:
-        """exp(2 pi i j / (p-1)) for j in [0, p-1)."""
-        n = max(self.order, 1)
-        return np.exp(2j * np.pi * np.arange(n) / n)
-
 
 def make_context(p: int) -> PrimeContext:
     """Build the context for a prime p. O(p^2) time and space."""

@@ -147,7 +147,7 @@ def test_psi_beyond_double_range(ctx37, digits):
     got = psi(m, chi)
     assert cmath.isfinite(got)
     want = _psi_reference(m, chi)
-    assert abs(mpmath.mpc(got) - want) <= 1e-10 * abs(want)
+    assert abs(mpmath.mpc(got) - want) <= 1e-14 * abs(want)
     assert psi(Fraction(m * 37, 37**5), chi) == got
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given
@@ -17,9 +18,10 @@ from pascalchar.characters import (
     UnityOrZero,
     abs_compare,
     character,
+    character_sums,
     cyclotomic_coeffs,
 )
-from pascalchar.core_arith import make_context
+from pascalchar.core_arith import is_prime, make_context
 from pascalchar.errors import IndexOutOfRange, OrderMismatch
 
 ORDERS = [1, 2, 4, 6, 12, 36]
@@ -248,6 +250,16 @@ def test_abs_compare_survives_coefficient_cancellation(ctx37):
     assert abs_compare(big, acc) is Comparison.GREATER
 
 
+def test_abs_compare_beyond_double_range(ctx37):
+    # phi(10^400) has coefficients far past float range, and a coefficient
+    # mass whose rounding noise swamps fixed 256-bit precision
+    from pascalchar.char_sequences import build_tables, phi_chi
+
+    x = phi_chi(10**400, build_tables(character(ctx37, 10)))
+    assert abs_compare(x, CycInt.zero(36)) is Comparison.GREATER
+    assert abs_compare(CycInt.zero(36), x) is Comparison.LESS
+
+
 def test_precision_policy_from_env(monkeypatch):
     monkeypatch.setenv("PASCALCHAR_PRECISION", "53,256,1024")
     policy = PrecisionPolicy.from_env()
@@ -262,3 +274,24 @@ def test_embed_mpc_matches_embed():
     v200 = a.embed_mpc(200)
     with mpmath.workprec(200):
         assert abs(complex(float(v200.real), float(v200.imag)) - v53) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# all-character transform
+
+
+def _direct_character_sums(hist):
+    """sum_e hist[..., e] * zeta^(k*e), one character at a time."""
+    n = hist.shape[-1]
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    base = np.arange(n)
+    return np.stack([hist @ roots[(k * base) % n] for k in range(n)], axis=-1)
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
+def test_character_sums_match_direct_sum(p):
+    hist = make_context(p).row_dlog_hist
+    for h in (hist, hist.sum(axis=0)):
+        got = character_sums(h)
+        assert got.shape == h.shape
+        assert np.allclose(got, _direct_character_sums(h), rtol=0, atol=1e-9)

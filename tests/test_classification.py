@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import csv
 import io
+import random
 
+import mpmath
+import numpy as np
 import pytest
 
-from pascalchar.characters import character
+from pascalchar.characters import character, character_sums
 from pascalchar.classification import (
+    PREFILTER_MARGIN,
     ClassificationRecord,
     Verdict,
     classify,
@@ -148,3 +152,31 @@ def test_mean_report_p3_has_no_even_characters():
     assert rep.mu_even == 0
     assert rep.ratio_even == 0
     assert rep.ratio_odd == pytest.approx(4 / 3, rel=1e-12)
+
+
+def test_prefilter_error_below_margin():
+    # the scan's T_k(b) and phi_k(p) = sum_b T_k(b) in doubles, against an
+    # 80-bit sum at seeded (b, k): rounding must sit at least a million
+    # times below the margin the scan allows character k
+    p = 997
+    ctx = make_context(p)
+    n = ctx.order
+    hist = ctx.row_dlog_hist
+    t_vals = character_sums(hist)
+    phis = t_vals.sum(axis=0)
+    max_t = np.abs(t_vals).max(axis=0)
+    margins = PREFILTER_MARGIN * np.maximum(1.0, np.maximum(np.abs(phis), max_t))
+    totals = hist.sum(axis=0)
+    rng = random.Random(5)
+    worst = 0.0
+    with mpmath.workprec(80):
+        zeta = [mpmath.expjpi(mpmath.mpf(2 * j) / n) for j in range(n)]
+
+        def exact(row, k):
+            return mpmath.fsum(int(c) * zeta[k * e % n] for e, c in enumerate(row) if c)
+
+        for _ in range(40):
+            b, k = rng.randrange(p), rng.randrange(n)
+            err = max(abs(exact(hist[b], k) - t_vals[b, k]), abs(exact(totals, k) - phis[k]))
+            worst = max(worst, err / margins[k])
+    assert worst < 1e-6

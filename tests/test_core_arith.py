@@ -124,12 +124,3 @@ def test_row_dlog_hist_counts_nonzeros(contexts):
         # dlog-0 column counts entries equal to 1; row 1 is (1, 1)
         if p > 2:
             assert hist[1, 0] == 2
-
-
-def test_context_roots_are_unit_circle(ctx37):
-    roots = ctx37.roots
-    assert len(roots) == 36
-    assert np.allclose(np.abs(roots), 1.0)
-    assert np.isclose(roots[0], 1.0)
-    # primitive: the set of powers is the full set of 36th roots
-    assert np.isclose(roots[18], -1.0)
