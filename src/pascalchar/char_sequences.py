@@ -55,10 +55,10 @@ def build_tables(chi: Character) -> FundamentalTables:
     coeff = np.zeros((p, n), dtype=np.int64)
     np.add.at(coeff, (slice(None), idx), hist)
     order = ctx.order
-    T_table = tuple(CycInt(order, tuple(int(c) for c in coeff[b])) for b in range(p))
+    T_table = tuple(CycInt(order, tuple(row)) for row in coeff.tolist())
     prefix = np.zeros((p + 1, n), dtype=np.int64)
     np.cumsum(coeff, axis=0, out=prefix[1:])
-    phi_table = tuple(CycInt(order, tuple(int(c) for c in prefix[m])) for m in range(p + 1))
+    phi_table = tuple(CycInt(order, tuple(row)) for row in prefix.tolist())
     return FundamentalTables(chi, T_table, phi_table)
 
 

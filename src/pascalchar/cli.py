@@ -147,12 +147,21 @@ def _cmd_scan(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def _cmd_phi(args: argparse.Namespace, argv: list[str]) -> int:
+def _parse_n(text: str) -> int:
+    """--n as a nonnegative decimal integer of any size.
+
+    Parsed here rather than by argparse, after lifting the interpreter's
+    int-string digit limit, which argparse's type=int would hit first.
+    """
     _allow_big_ints()
+    if not text.strip().isdigit():
+        raise ValueError(f"--n must be a nonnegative decimal integer, got {text!r}")
+    return int(text)
+
+
+def _cmd_phi(args: argparse.Namespace, argv: list[str]) -> int:
+    n = _parse_n(args.n)
     n_text = args.n.strip()
-    if not n_text.isdigit():
-        raise ValueError(f"--n must be a nonnegative decimal integer, got {args.n!r}")
-    n = int(n_text)
     ctx = make_context(args.p)
     chi = character(ctx, args.k)
     tables = build_tables(chi)
@@ -166,14 +175,14 @@ def _cmd_phi(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_count(args: argparse.Namespace, argv: list[str]) -> int:
-    _allow_big_ints()
+    n = _parse_n(args.n)
     ctx = make_context(args.p)
     if not 1 <= args.r < args.p:
         raise ValueError(f"--r must be in [1, {args.p})")
     if args.method == "brute":
-        val = A_count_bruteforce(args.n, ctx)[args.r]
+        val = A_count_bruteforce(n, ctx)[args.r]
     else:
-        val = A_count_formula(args.n, args.r, ctx)
+        val = A_count_formula(n, args.r, ctx)
     print(val)
     return 0
 
@@ -419,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="occurrences of a residue in rows 0..n-1")
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--r", type=int, required=True)
-    p_count.add_argument("--n", type=int, required=True)
+    p_count.add_argument("--n", type=str, required=True, help="nonnegative decimal integer, any size")
     p_count.add_argument("--method", choices=("formula", "brute"), default="formula")
     p_count.set_defaults(func=_cmd_count)
 

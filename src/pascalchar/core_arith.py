@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -126,12 +127,13 @@ class PrimeContext:
         Rows inside the domain have no zeros, so every entry contributes.
         Shape (p, p-1); the workhorse behind vectorized character sums.
         """
-        p, n = self.p, self.order
-        hist = np.zeros((p, max(n, 1)), dtype=np.int64)
-        for b, row in enumerate(self.fd_rows):
-            for entry in row:
-                hist[b, self.dlog[entry]] += 1
-        return hist
+        p, n = self.p, max(self.order, 1)
+        entries = np.fromiter(
+            chain.from_iterable(self.fd_rows), dtype=np.int64, count=p * (p + 1) // 2
+        )
+        rows = np.repeat(np.arange(p, dtype=np.int64), np.arange(1, p + 1))
+        cells = rows * n + np.asarray(self.dlog, dtype=np.int64)[entries]
+        return np.bincount(cells, minlength=p * n).reshape(p, n)
 
     @cached_property
     def group_ring_tables(self) -> FundamentalTables:

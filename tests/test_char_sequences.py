@@ -215,6 +215,13 @@ def test_formula_agrees_with_character_inversion_at_30_digits(ctx37):
         assert A_count_formula(n, r, ctx37) == _character_inversion_count(n, r, ctx37)
 
 
+def test_formula_agrees_with_character_inversion_at_p229():
+    # the largest order in the scan table, on the Kronecker product path
+    ctx = make_context(229)
+    n = 738_205_916_473_020_581_364_992_017_455
+    assert A_count_formula(n, 5, ctx) == _character_inversion_count(n, 5, ctx)
+
+
 def test_formula_counts_p2_all_entries_nonzero(contexts):
     # at p=2 every nonzero entry is 1 and zeros follow the digit rule
     ctx = contexts[2]

@@ -12,10 +12,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pascalchar.characters import (
+    _KRONECKER_MAX_BITS,
     Comparison,
     CycInt,
     PrecisionPolicy,
     UnityOrZero,
+    _convolve,
+    _cyclic_convolve,
+    _kronecker_convolve,
+    _support_stride,
     abs_compare,
     character,
     character_sums,
@@ -91,6 +96,60 @@ def test_embed_is_ring_homomorphism(data):
     tol = float((a.coeff_l1() * b.coeff_l1() + a.coeff_l1() + b.coeff_l1() + 1) * n) * 2.0**-48
     assert abs((a * b).embed() - a.embed() * b.embed()) < tol
     assert abs((a + b).embed() - (a.embed() + b.embed())) < tol
+
+
+def _strided_coeffs(draw, n, bits, signed):
+    """A coefficient vector supported on the multiples of a divisor of n,
+    with entries of at most `bits` bits, or all zero."""
+    stride = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    if draw(st.booleans()) and draw(st.booleans()):
+        return (0,) * n
+    bound = 1 << bits
+    entry = st.integers(min_value=-bound if signed else 0, max_value=bound)
+    m = n // stride
+    values = draw(st.lists(st.one_of(st.just(0), entry), min_size=m, max_size=m))
+    out = [0] * n
+    out[::stride] = values
+    return tuple(out)
+
+
+# both sides of the selection threshold, and the edges of a byte-rounded slot
+_PRODUCT_BITS = [0, 1, 7, 8, 63, 64, _KRONECKER_MAX_BITS, _KRONECKER_MAX_BITS + 1, 1000]
+
+
+@given(st.data())
+def test_kronecker_product_equals_schoolbook(data):
+    n = data.draw(st.sampled_from([1, 2, 36, 96, 228]))
+    signed = data.draw(st.booleans())
+    a = _strided_coeffs(data.draw, n, data.draw(st.sampled_from(_PRODUCT_BITS)), signed)
+    b = _strided_coeffs(data.draw, n, data.draw(st.sampled_from(_PRODUCT_BITS)), signed)
+    stride = _support_stride(a, b, n)
+    assert all(c == 0 for i, c in enumerate(a + b) if i % n % stride)
+    # any common stride will do, the gcd being only the sparsest
+    g = data.draw(st.sampled_from([d for d in range(1, stride + 1) if stride % d == 0]))
+    assert _kronecker_convolve(a, b, n, g) == _cyclic_convolve(a, b, n)
+
+
+@pytest.mark.parametrize("n", [36, 228])
+def test_kronecker_product_at_full_slot_magnitude(n):
+    # every output coefficient at the bound m * max|a| * max|b| that sizes the
+    # slot, for every stride and for magnitudes on both sides of byte edges
+    for stride in (d for d in range(1, n + 1) if n % d == 0):
+        for k in range(1, 20):
+            for x, y in ((2**k - 1, 2**k - 1), (-(2**k), 2**k - 1), (-(2**k), -(2**k))):
+                a = tuple(x if i % stride == 0 else 0 for i in range(n))
+                b = tuple(y if i % stride == 0 else 0 for i in range(n))
+                want = _cyclic_convolve(a, b, n)
+                assert _kronecker_convolve(a, b, n, stride) == want, (stride, x, y)
+
+
+@pytest.mark.parametrize("n", [4, 36])
+@pytest.mark.parametrize("bits", [1, _KRONECKER_MAX_BITS, _KRONECKER_MAX_BITS + 1])
+def test_product_matches_schoolbook_across_selection(n, bits):
+    a = tuple((-1) ** i << bits if i % 3 else 0 for i in range(n))
+    b = tuple(-(1 << bits) + i for i in range(n))
+    assert _convolve(a, b, n) == _cyclic_convolve(a, b, n)
+    assert (CycInt(n, a) * CycInt(n, b)).coeffs == _cyclic_convolve(a, b, n)
 
 
 @given(small_cyc, st.integers(min_value=-80, max_value=80))

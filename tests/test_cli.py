@@ -66,6 +66,32 @@ def test_count_exit_codes(capsys):
     assert "LimitExceeded" in capsys.readouterr().err
 
 
+def _c4_mul(a, b):
+    return tuple(sum(a[i] * b[(e - i) % 4] for i in range(4)) for e in range(4))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_count_n_past_int_digit_limit(capsys):
+    # n = 5^7155 has 5002 digits, past CPython's default 4300-digit limit on
+    # int <-> str. Rows 0..5^j-1 tally by discrete log (g = 2) as the j-th
+    # power of the fundamental domain's tally: 1 x10, 2 x1, 4 x2, 3 x2.
+    j, domain = 7155, (10, 1, 2, 2)
+    want = (1, 0, 0, 0)
+    for bit in bin(j)[2:]:
+        want = _c4_mul(want, want)
+        if bit == "1":
+            want = _c4_mul(want, domain)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        n_text, want_text = str(5**j), str(want[3])  # residue 3 has dlog 3
+        sys.set_int_max_str_digits(4300)
+        assert main(["count", "--p", "5", "--r", "3", "--n", n_text]) == 0
+        assert capsys.readouterr().out.strip() == want_text
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

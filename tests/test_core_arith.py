@@ -114,6 +114,23 @@ def test_context_fundamental_rows(contexts):
             assert list(row) == [math.comb(n, m) % p for m in range(n + 1)]
 
 
+def _loop_row_dlog_hist(ctx):
+    """Oracle: tally each fundamental-domain entry one at a time."""
+    hist = np.zeros((ctx.p, max(ctx.order, 1)), dtype=np.int64)
+    for b, row in enumerate(ctx.fd_rows):
+        for entry in row:
+            hist[b, ctx.dlog[entry]] += 1
+    return hist
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)] + [997])
+def test_row_dlog_hist_matches_loop(p):
+    ctx = make_context(p)
+    hist = ctx.row_dlog_hist
+    assert hist.dtype == np.int64
+    assert np.array_equal(hist, _loop_row_dlog_hist(ctx))
+
+
 def test_row_dlog_hist_counts_nonzeros(contexts):
     # row n < p has n+1 entries, all nonzero; histogram is over dlog classes
     for p, ctx in contexts.items():
