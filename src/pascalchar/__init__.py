@@ -66,7 +66,6 @@ from .core_arith import (
 )
 from .errors import (
     IndexOutOfRange,
-    IntegralityViolation,
     LimitExceeded,
     NotPrime,
     NotRowDominant,
@@ -99,9 +98,8 @@ __all__ = [
     "fundamental_scatter", "mean_report", "scan",
     "DigitString", "PrimeContext", "is_prime", "least_primitive_root",
     "lucas_binom", "make_context", "row_mod_p", "to_digits",
-    "IndexOutOfRange", "IntegralityViolation", "LimitExceeded", "NotPrime",
-    "NotRowDominant", "OrderMismatch", "PascalCharError", "UndefinedTheta",
-    "WeilViolation",
+    "IndexOutOfRange", "LimitExceeded", "NotPrime", "NotRowDominant",
+    "OrderMismatch", "PascalCharError", "UndefinedTheta", "WeilViolation",
     "ModelConfig", "ModelStats", "closed_form_Y", "closed_form_char",
     "run_model", "sample_domain",
 ]

@@ -29,6 +29,7 @@ from .characters import (
     abs_compare,
     character,
     character_sums,
+    embed_value,
 )
 from .classification import Verdict, classify
 from .core_arith import is_prime, make_context
@@ -43,47 +44,6 @@ from .errors import (
 
 ALPHA_WORK_LIMIT = 10**7
 _SWEEP_CHUNK = 1 << 19
-
-
-def _embed_mpc(x: CycInt) -> mpmath.mpc:
-    """embed(x) in mpmath at whatever precision the coefficient mass demands.
-
-    Canonical coefficients of long products carry l1 mass far above the
-    embedded modulus, so any fixed precision can cancel to pure noise;
-    keep doubling the working precision until the magnitude clears the
-    rounding floor with room to spare, or certify an exact zero.
-    """
-    l1 = x.coeff_l1()
-    bits = max(128, l1.bit_length() + 64)
-    for _ in range(12):
-        v = x.embed_mpc(bits)
-        # log2 of a bound on the absolute rounding error at this precision
-        err_exp = (l1 + 1).bit_length() + x.order.bit_length() + 7 - bits
-        if mpmath.fabs(v) > mpmath.ldexp(1, err_exp + 6):
-            return v
-        if x.is_zero():
-            return mpmath.mpc(0)
-        bits *= 2
-    return v
-
-
-def _embed_value(x: CycInt) -> complex:
-    """embed(x) as a double, from the double path when it clears the
-    cancellation floor and from _embed_mpc otherwise."""
-    l1 = x.coeff_l1()
-    if l1 == 0:
-        return 0j
-    try:
-        v = x.embed()
-        if cmath.isfinite(v) and abs(v) > float((l1 + 1) * x.order) * 2.0**-48:
-            return v
-    except OverflowError:
-        pass
-    return complex(_embed_mpc(x))
-
-
-def _abs_embed(x: CycInt) -> float:
-    return abs(_embed_value(x))
 
 
 @dataclass(frozen=True)
@@ -305,9 +265,9 @@ def psi(
     # phi(m) and m^theta both leave double range long before their
     # quotient does, and a double theta loses digits in proportion to
     # log m, so take theta, divide in mpmath and round once at the end
-    val = _embed_mpc(phi_chi(m, tables))
+    val, _ = embed_value(phi_chi(m, tables))
     with mpmath.workprec(128):
-        theta = mpmath.log(_embed_mpc(tables.phi_p)) / mpmath.log(p)
+        theta = mpmath.log(embed_value(tables.phi_p)[0]) / mpmath.log(p)
         return complex(val / mpmath.exp(theta * mpmath.log(m)))
 
 
@@ -345,7 +305,8 @@ def row_dominant_witness(
         acc = acc * phi_p + t * phi_b
         t = t * t_b
         n_k = n_k * p + b
-        ratio = (_abs_embed(acc) + _abs_embed(acc + t)) / p ** (k * sigma)
+        pair = (abs(complex(embed_value(v)[0])) for v in (acc, acc + t))
+        ratio = sum(pair) / p ** (k * sigma)
         rows.append((k, n_k, ratio))
     return rows
 

@@ -7,7 +7,10 @@ powers of zeta, added and multiplied exactly, with no canonical reduction
 during accumulation. Equality and magnitude questions are settled by
 abs_compare, which escalates double -> extended precision -> an exact
 reduction by the cyclotomic polynomial, so strict inequalities are decided
-soundly even at genuine ties.
+soundly even at genuine ties. Its rungs, and every other value that must
+be trusted, read one midpoint-radius enclosure, _embed_ball, with one
+proven error bound; embed_value escalates it until the value is accurate
+to a requested relative precision.
 """
 
 from __future__ import annotations
@@ -488,19 +491,74 @@ class PrecisionPolicy:
         return cls(ladder=bits)
 
 
-def _mp_err(x: CycInt, bits: int) -> mpmath.mpf:
-    # error bound: order terms, each rounded at 2^-bits relative, scaled by
-    # the coefficient mass; generous constant keeps the bound rigorous. An
-    # mpf, since the mass of a long product can leave double range.
-    return mpmath.ldexp((x.coeff_l1() + 1) * x.order, 6 - bits)
+def _mass_bits(l1: int) -> int:
+    """Starting mpmath precision for a value of coefficient mass l1."""
+    return max(128, l1.bit_length() + 96)
+
+
+def _embed_ball(x: CycInt, bits: int) -> tuple | None:
+    """embed(x) at `bits` of working precision as a ball (mid, rad) with
+    |embed(x) - mid| <= rad, or None when the doubles overflow. Up to 53
+    bits mid is the complex `x.embed()` and rad a float; above, mid is
+    `x.embed_mpc(bits)` and rad an mpf.
+
+    rad = (l1 + 1) * order * 2^(5 - bits) for coefficient mass l1. With
+    u = 2^-bits (2^-53 for doubles; fewer bits only widen the ball), a
+    computed root zeta^j is off by under 22u (three roundings of an angle
+    below 2 pi, then an ulp in cos and in sin); rounding c_j and the
+    product c_j * zeta^j add u|c_j| each, so term j is off by under
+    24u|c_j|; each of the under `order` additions adds u times a partial
+    sum of modulus at most l1 * (1 + 24u). The total is below
+    26 * order * l1 * u; the rest of rad covers rounding |mid| and the
+    difference of two moduli when balls are compared.
+    """
+    l1 = x.coeff_l1()
+    if bits > 53:
+        return x.embed_mpc(bits), mpmath.ldexp((l1 + 1) * x.order, 5 - bits)
+    try:
+        mid = x.embed()
+        rad = float((l1 + 1) * x.order) * 2.0 ** (5 - bits)
+    except OverflowError:
+        return None
+    return (mid, rad) if math.isfinite(abs(mid)) else None
+
+
+def _tight(ball: tuple, rel_bits: int) -> bool:
+    mid, rad = ball
+    return rad < abs(mid) * 2.0**-rel_bits
+
+
+def embed_value(x: CycInt, rel_bits: int = 53) -> tuple:
+    """The first ball (mid, rad) of embed(x) with rad below 2^-rel_bits |mid|.
+
+    Tries the doubles, then mpmath from `_mass_bits` of the coefficient
+    mass up, doubling the precision until the ball is tight enough. An
+    exact zero, certified by canonical reduction once the doubles fail
+    (far cheaper than an mpmath rung at the mass), comes back as
+    (0j, 0.0). The loop ends for every nonzero x: its norm is a nonzero
+    integer and each of its conjugates has modulus at most l1, so
+    |embed(x)| >= l1^(1 - order) > 0.
+    """
+    ball = _embed_ball(x, 53)
+    if ball is not None and _tight(ball, rel_bits):
+        return ball
+    if x.is_zero():
+        return 0j, 0.0
+    bits = _mass_bits(x.coeff_l1())
+    ball = _embed_ball(x, bits)
+    while not _tight(ball, rel_bits):
+        bits *= 2
+        ball = _embed_ball(x, bits)
+    return ball
 
 
 def abs_compare(a: CycInt, b: CycInt, policy: PrecisionPolicy | None = None) -> Comparison:
     """Compare |embed(a)| with |embed(b)|, escalating precision as needed.
 
-    Returns EQUAL only on a proven tie (exact norm difference reduces to
-    zero); UNDECIDED when a nonzero difference cannot be resolved at the
-    top of the ladder.
+    Each rung of the ladder embeds both operands as balls and decides once
+    the moduli differ by more than the two radii. Returns EQUAL only on a
+    proven tie (exact norm difference reduces to zero); UNDECIDED when a
+    nonzero difference cannot be resolved at the top of the ladder.
     """
     if a.order != b.order:
         raise OrderMismatch(f"orders {a.order} and {b.order}")
@@ -508,34 +566,25 @@ def abs_compare(a: CycInt, b: CycInt, policy: PrecisionPolicy | None = None) -> 
         policy = PrecisionPolicy.from_env()
 
     for bits in policy.ladder:
+        ball_a, ball_b = _embed_ball(a, bits), _embed_ball(b, bits)
+        if ball_a is None or ball_b is None:
+            continue  # the doubles overflowed
+        (va, ra), (vb, rb) = ball_a, ball_b
         if bits <= 53:
-            try:
-                da, db = abs(a.embed()), abs(b.embed())
-                # rounding floor: coefficient mass can exceed the embedded
-                # value by many orders, cancelling double precision to noise
-                floor = float((a.coeff_l1() + b.coeff_l1() + 2) * a.order) * 2.0**-48
-            except OverflowError:
-                continue
-            if not (math.isfinite(da) and math.isfinite(db)):
-                continue
-            scale = max(1.0, da, db)
-            if abs(da - db) > max(policy.double_tol * scale, floor):
+            da, db = abs(va), abs(vb)
+            if abs(da - db) > max(policy.double_tol * max(1.0, da, db), ra + rb):
                 return Comparison.GREATER if da > db else Comparison.LESS
         else:
             with mpmath.workprec(bits):
-                da, db = mpmath.fabs(a.embed_mpc(bits)), mpmath.fabs(b.embed_mpc(bits))
-                if abs(da - db) > _mp_err(a, bits) + _mp_err(b, bits):
+                da, db = abs(va), abs(vb)
+                if abs(da - db) > ra + rb:
                     return Comparison.GREATER if da > db else Comparison.LESS
 
     diff = a * a.conjugate() - b * b.conjugate()
     if diff.is_zero():
         return Comparison.EQUAL
-    # the rounding error scales with the coefficient mass, so a fixed
-    # precision is pure noise once that mass outgrows it
-    bits = max(policy.ladder[-1], diff.coeff_l1().bit_length() + 64)
-    val = diff.embed_mpc(bits)
-    with mpmath.workprec(bits):
-        real = mpmath.re(val)
-        if abs(real) > _mp_err(diff, bits):
-            return Comparison.GREATER if real > 0 else Comparison.LESS
+    # |a|^2 - |b|^2 is real: decide on the sign of the ball's real part
+    val, rad = _embed_ball(diff, max(policy.ladder[-1], _mass_bits(diff.coeff_l1())))
+    if abs(val.real) > rad:
+        return Comparison.GREATER if val.real > 0 else Comparison.LESS
     return Comparison.UNDECIDED

@@ -4,14 +4,13 @@ Every file-writing command drops a sibling manifest JSON recording the
 command line, seeds, precision settings, library version, wall time, and
 SHA-256 digests of the outputs, so any emitted artifact can be traced
 back to an exact rerun. Exit codes: 0 success, 1 computation error
-(precision exhaustion, integrality failure, invalid mathematical input),
+(precision exhaustion, invalid mathematical input),
 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import sys
@@ -32,7 +31,7 @@ from .bounds_asymptotics import (
     write_convergence_csv,
 )
 from .char_sequences import A_count_bruteforce, A_count_formula, T_chi, build_tables, phi_chi
-from .characters import CycInt, PrecisionPolicy, character
+from .characters import CycInt, PrecisionPolicy, character, embed_value
 from .classification import (
     Verdict,
     format_scan_table,
@@ -110,23 +109,12 @@ def _sparse_str(x: CycInt) -> str:
 
 
 def _value_str(x: CycInt) -> str:
-    l1 = x.coeff_l1()
-    try:
-        v = x.embed()
-        # trust doubles only above the cancellation floor set by the
-        # coefficient mass
-        if l1 == 0 or (
-            cmath.isfinite(v) and abs(v) > float((l1 + 1) * x.order) * 2.0**-48
-        ):
-            return f"{v.real:.15g}{v.imag:+.15g}i"
-    except OverflowError:
-        pass
-    if x.is_zero():
-        return "0+0i"
-    bits = max(128, l1.bit_length() + 96)
-    v = x.embed_mpc(bits)
-    with mpmath.workprec(bits):
-        return f"{mpmath.nstr(v.real, 17)}{'+' if v.imag >= 0 else ''}{mpmath.nstr(v.imag, 17)}i"
+    # rel_bits=0 takes the double once its error is below the value itself;
+    # such a double can be right to only a few digits of the 15 printed
+    v, _ = embed_value(x, rel_bits=0)
+    if isinstance(v, complex):
+        return f"{v.real:.15g}{v.imag:+.15g}i"
+    return f"{mpmath.nstr(v.real, 17)}{'+' if v.imag >= 0 else ''}{mpmath.nstr(v.imag, 17)}i"
 
 
 # ---------------------------------------------------------------------------

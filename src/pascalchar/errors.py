@@ -26,11 +26,6 @@ class OrderMismatch(PascalCharError):
     """Cyclotomic operands of different orders were combined."""
 
 
-class IntegralityViolation(PascalCharError):
-    """A quantity that must be a nonnegative integer failed to round cleanly
-    even on the exact evaluation path. Indicates a bug, not input error."""
-
-
 class UndefinedTheta(PascalCharError):
     """The growth exponent log_p(phi(p)) is undefined because phi(p) is zero
     or could not be separated from zero."""

@@ -24,12 +24,11 @@ from .errors import NotPrime
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Simulation parameters; rng names the generator algorithm."""
+    """Simulation parameters; draws come from PCG64 streams."""
 
     p: int
     samples: int
     seed: int
-    rng: str = "pcg64"
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -38,8 +37,6 @@ class ModelConfig:
             raise ValueError("the model needs p > 3: smaller triangles have no interior")
         if self.samples < 100:
             raise ValueError("samples must be at least 100")
-        if self.rng != "pcg64":
-            raise ValueError(f"unknown rng {self.rng!r}; only pcg64 is provided")
 
 
 def _generator(seed: int, trial: int) -> np.random.Generator:

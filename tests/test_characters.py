@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pascalchar.characters import (
@@ -19,12 +19,15 @@ from pascalchar.characters import (
     UnityOrZero,
     _convolve,
     _cyclic_convolve,
+    _embed_ball,
     _kronecker_convolve,
+    _mass_bits,
     _support_stride,
     abs_compare,
     character,
     character_sums,
     cyclotomic_coeffs,
+    embed_value,
 )
 from pascalchar.core_arith import is_prime, make_context
 from pascalchar.errors import IndexOutOfRange, OrderMismatch
@@ -317,6 +320,75 @@ def test_abs_compare_beyond_double_range(ctx37):
     x = phi_chi(10**400, build_tables(character(ctx37, 10)))
     assert abs_compare(x, CycInt.zero(36)) is Comparison.GREATER
     assert abs_compare(CycInt.zero(36), x) is Comparison.LESS
+
+
+# ---------------------------------------------------------------------------
+# certified embedding
+
+
+def _planted(y, power, shift):
+    """y^power minus the Gaussian integer nearest to it, plus shift: the
+    shape of phi(p)^j - round(|phi(p)|^j), a value of modulus at most a
+    few units under coefficients as wide as y^power's."""
+    n = y.order
+    x = CycInt.one(n)
+    for _ in range(power):
+        x = x * y
+    bits = x.coeff_l1().bit_length() + 64
+    with mpmath.workprec(bits):
+        v = x.embed_mpc(bits)
+        x = x - CycInt.from_int(n, int(mpmath.nint(v.real)) - shift)
+        if n % 4 == 0:  # zeta^(n/4) = i
+            x = x - CycInt.from_exponent(n, n // 4, int(mpmath.nint(v.imag)))
+    return x
+
+
+@st.composite
+def _planted_cancellation(draw):
+    n = draw(st.sampled_from([1, 2, 36, 96, 228]))
+    bits = draw(st.sampled_from([1, 8, 40, 100, 200]))
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(-(1 << bits), 1 << bits)),
+        min_size=1, max_size=6,
+    ))
+    y = CycInt.zero(n)
+    for e, c in terms:
+        y = y + CycInt.from_exponent(n, e, c)
+    return _planted(y, draw(st.integers(1, 8)), draw(st.integers(-3, 3)))
+
+
+def _reference_embed(x, bits):
+    """embed(x) from its canonical form, summed exactly and rounded once."""
+    with mpmath.workprec(bits):
+        return mpmath.fsum(
+            c * mpmath.expjpi(mpmath.mpf(2 * j) / x.order) for j, c in enumerate(x.canonical()) if c
+        )
+
+
+# past double range: the 53-bit rung overflows and only mpmath rungs remain
+_BEYOND_DOUBLES = _planted(CycInt(36, (3 << 200, -(5 << 190)) + (0,) * 33 + (7 << 199,)), 6, 1)
+
+
+@settings(max_examples=100)
+@given(_planted_cancellation())
+@example(_BEYOND_DOUBLES)
+def test_embed_ball_encloses_reference(x):
+    l1 = x.coeff_l1()
+    rungs = (53, 128, 256, _mass_bits(l1))
+    mass = max(l1, sum(abs(c) for c in x.canonical()))
+    ref_bits = mass.bit_length() + 4 * max(rungs)
+    want = _reference_embed(x, ref_bits)
+    balls = [_embed_ball(x, bits) for bits in rungs]
+    value, value_rad = embed_value(x)
+    with mpmath.workprec(ref_bits):
+        for bits, ball in zip(rungs, balls):
+            if ball is None:  # doubles overflow only past float range
+                assert bits == 53 and ((l1 + 1) * x.order).bit_length() > 1020
+                continue
+            mid, rad = ball
+            assert abs(mpmath.mpc(mid) - want) <= rad
+        assert abs(mpmath.mpc(value) - want) <= mpmath.ldexp(abs(want), -53)
+        assert value_rad <= mpmath.ldexp(abs(value), -53)
 
 
 def test_precision_policy_from_env(monkeypatch):

@@ -29,8 +29,6 @@ def test_config_validation():
         ModelConfig(p=3, samples=100, seed=0)
     with pytest.raises(ValueError):
         ModelConfig(p=7, samples=99, seed=0)
-    with pytest.raises(ValueError):
-        ModelConfig(p=7, samples=100, seed=0, rng="mt19937")
 
 
 def test_domain_layout():
