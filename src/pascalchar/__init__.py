@@ -37,7 +37,6 @@ from .characters import (
     Character,
     Comparison,
     CycInt,
-    PrecisionPolicy,
     UnityOrZero,
     abs_compare,
     character,
@@ -92,7 +91,7 @@ __all__ = [
     "A_count_bruteforce", "A_count_formula", "A_count_formula_all",
     "CountVector", "FundamentalTables", "T_chi", "a_row", "build_tables",
     "phi_chi",
-    "Character", "Comparison", "CycInt", "PrecisionPolicy", "UnityOrZero",
+    "Character", "Comparison", "CycInt", "UnityOrZero",
     "abs_compare", "character", "conjugate", "cyclotomic_coeffs", "group",
     "ClassificationRecord", "MeanReport", "Verdict", "classify",
     "fundamental_scatter", "mean_report", "scan",

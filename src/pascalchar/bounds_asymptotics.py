@@ -25,7 +25,6 @@ from .characters import (
     Character,
     Comparison,
     CycInt,
-    PrecisionPolicy,
     abs_compare,
     character,
     character_sums,
@@ -43,6 +42,8 @@ from .errors import (
 )
 
 ALPHA_WORK_LIMIT = 10**7
+# FFT rounding allowance, relative to p, in the Weil column check
+WEIL_SLACK = 1e-7
 _SWEEP_CHUNK = 1 << 19
 
 
@@ -66,17 +67,13 @@ class GrowthProfile:
     max_abs_T: float
 
 
-def growth_profile(
-    chi: Character,
-    tables: FundamentalTables | None = None,
-    policy: PrecisionPolicy | None = None,
-) -> GrowthProfile:
+def growth_profile(chi: Character, tables: FundamentalTables | None = None) -> GrowthProfile:
     if tables is None:
         tables = build_tables(chi)
     p = chi.ctx.p
     phi_p = tables.phi_p
-    if abs_compare(phi_p, CycInt.zero(phi_p.order), policy) is not Comparison.GREATER:
-        raise UndefinedTheta(f"phi(p) for p={p}, k={chi.k} is zero or unresolvably small")
+    if abs_compare(phi_p, CycInt.zero(phi_p.order)) is not Comparison.GREATER:
+        raise UndefinedTheta(f"phi(p) for p={p}, k={chi.k} is zero")
     val = phi_p.embed()
     lp = math.log(p)
     theta = cmath.log(val) / lp
@@ -275,11 +272,7 @@ def psi(
 # unboundedness certificate for row-dominant characters
 
 
-def row_dominant_witness(
-    chi: Character,
-    k_max: int,
-    policy: PrecisionPolicy | None = None,
-) -> list[tuple[int, int, float]]:
+def row_dominant_witness(chi: Character, k_max: int) -> list[tuple[int, int, float]]:
     """Certificate rows (k, n_k, ratio) exhibiting super-theta growth.
 
     n_k is the k-digit repdigit of the witness b. The ratio column is
@@ -287,7 +280,7 @@ def row_dominant_witness(
     differ by exactly T(b)^k, so their combined size, normalized at the
     theta rate, grows at least like (|T(b)|/|phi(p)|)^k > 1.
     """
-    record = classify(chi, policy)
+    record = classify(chi)
     if record.verdict is not Verdict.ROW_DOMINANT:
         raise NotRowDominant(
             f"p={record.p} k={record.k} classified {record.verdict.value}"
@@ -334,7 +327,7 @@ class BoundReport:
     columns_checked: int
 
 
-def bound_report(p: int, weil_slack: float = 1e-7) -> BoundReport:
+def bound_report(p: int) -> BoundReport:
     """Evaluate all bounds at p and verify the per-column inequalities.
 
     For every nonprincipal character and every column 2 <= n <= floor(sqrt(p)),
@@ -358,7 +351,7 @@ def bound_report(p: int, weil_slack: float = 1e-7) -> BoundReport:
         dlogs = [ctx.dlog[ctx.fd_rows[m][col]] for m in range(col, p)]
         sums = np.abs(character_sums(np.bincount(dlogs, minlength=ctx.order)))
         k = 1 + int(np.argmax(sums[1:]))
-        if sums[k] > col * rp + weil_slack * p:
+        if sums[k] > col * rp + WEIL_SLACK * p:
             raise WeilViolation(
                 f"p={p} column {col} character k={k}: |sum|={sums[k]} > {col}*sqrt(p)"
             )
@@ -397,7 +390,7 @@ class VarthetaReport:
     skipped: int
 
 
-def vartheta_report(p: int, eps: float, policy: PrecisionPolicy | None = None) -> VarthetaReport:
+def vartheta_report(p: int, eps: float) -> VarthetaReport:
     if eps <= 0:
         raise ValueError("eps must be positive")
     ctx = make_context(p)
@@ -406,7 +399,7 @@ def vartheta_report(p: int, eps: float, policy: PrecisionPolicy | None = None) -
     skipped = 0
     for k in range(1, ctx.order):
         try:
-            profile = growth_profile(character(ctx, k), policy=policy)
+            profile = growth_profile(character(ctx, k))
         except UndefinedTheta:
             skipped += 1
             continue
@@ -424,8 +417,8 @@ def vartheta_report(p: int, eps: float, policy: PrecisionPolicy | None = None) -
     )
 
 
-def vartheta(p: int, eps: float, policy: PrecisionPolicy | None = None) -> float:
-    return vartheta_report(p, eps, policy).value
+def vartheta(p: int, eps: float) -> float:
+    return vartheta_report(p, eps).value
 
 
 # ---------------------------------------------------------------------------

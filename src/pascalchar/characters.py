@@ -4,19 +4,17 @@ A character is a single exponent index k with chi(g) = zeta^k for the
 context's canonical generator g, where zeta = exp(2 pi i/(p-1)). Values of
 character sums live in CycInt: an integer coefficient vector over the
 powers of zeta, added and multiplied exactly, with no canonical reduction
-during accumulation. Equality and magnitude questions are settled by
-abs_compare, which escalates double -> extended precision -> an exact
-reduction by the cyclotomic polynomial, so strict inequalities are decided
-soundly even at genuine ties. Its rungs, and every other value that must
-be trusted, read one midpoint-radius enclosure, _embed_ball, with one
-proven error bound; embed_value escalates it until the value is accurate
-to a requested relative precision.
+during accumulation. Every value that must be trusted reads one
+midpoint-radius enclosure, _embed_ball, with one proven error bound;
+embed_value escalates it until the value is accurate to a requested
+relative precision. abs_compare decides |a| vs |b| from one double ball
+per operand, or else from the sign of the exact real |a|^2 - |b|^2, so
+strict inequalities are decided soundly even at genuine ties.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -316,12 +314,6 @@ class CycInt:
     def from_int(cls, order: int, value: int) -> "CycInt":
         return cls.from_exponent(order, 0, value)
 
-    @classmethod
-    def from_unity(cls, u: UnityOrZero) -> "CycInt":
-        if u.exponent is None:
-            return cls.zero(u.order)
-        return cls.from_exponent(u.order, u.exponent)
-
     def _check(self, other: "CycInt") -> None:
         if self.order != other.order:
             raise OrderMismatch(f"orders {self.order} and {other.order}")
@@ -371,8 +363,8 @@ class CycInt:
     def embed(self) -> complex:
         """Numeric value under zeta -> exp(2 pi i/order), double precision.
 
-        Raises OverflowError when coefficients exceed float range; the
-        comparison ladder catches that and escalates.
+        Raises OverflowError when coefficients exceed float range;
+        _embed_ball catches that and reports no ball.
         """
         n = self.order
         roots = _roots(n)
@@ -457,38 +449,13 @@ def character_sums(hist: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# magnitude comparison with precision escalation
+# magnitude comparison
 
 
 class Comparison(Enum):
     LESS = "Less"
     GREATER = "Greater"
     EQUAL = "Equal"
-    UNDECIDED = "Undecided"
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Escalation ladder for |embed| comparisons.
-
-    Stage 53 is the native double path with `double_tol` as the relative
-    gap below which it refuses to decide; higher entries are mpmath
-    working precisions in bits. After the ladder is exhausted the
-    comparison falls back to an exact cyclotomic norm test.
-    """
-
-    double_tol: float = 1e-9
-    ladder: tuple[int, ...] = (53, 128, 256)
-
-    @classmethod
-    def from_env(cls) -> "PrecisionPolicy":
-        raw = os.environ.get("PASCALCHAR_PRECISION")
-        if not raw:
-            return cls()
-        bits = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        if not bits:
-            return cls()
-        return cls(ladder=bits)
 
 
 def _mass_bits(l1: int) -> int:
@@ -552,39 +519,25 @@ def embed_value(x: CycInt, rel_bits: int = 53) -> tuple:
     return ball
 
 
-def abs_compare(a: CycInt, b: CycInt, policy: PrecisionPolicy | None = None) -> Comparison:
-    """Compare |embed(a)| with |embed(b)|, escalating precision as needed.
+def abs_compare(a: CycInt, b: CycInt) -> Comparison:
+    """Compare |embed(a)| with |embed(b)|; always LESS, GREATER or EQUAL.
 
-    Each rung of the ladder embeds both operands as balls and decides once
-    the moduli differ by more than the two radii. Returns EQUAL only on a
-    proven tie (exact norm difference reduces to zero); UNDECIDED when a
-    nonzero difference cannot be resolved at the top of the ladder.
+    One 53-bit ball per operand decides once the moduli differ by more
+    than the two radii. Otherwise the exact real diff = |a|^2 - |b|^2
+    decides: embed_value(diff, rel_bits=1) is (0j, 0.0) exactly when diff
+    is zero (EQUAL), and else a ball with rad < |mid|/2. As diff is real,
+    |Im mid| <= rad < |mid|/2, so |Re mid| > |mid|/2 > |Re mid - diff| and
+    Re mid has the sign of diff.
     """
     if a.order != b.order:
         raise OrderMismatch(f"orders {a.order} and {b.order}")
-    if policy is None:
-        policy = PrecisionPolicy.from_env()
-
-    for bits in policy.ladder:
-        ball_a, ball_b = _embed_ball(a, bits), _embed_ball(b, bits)
-        if ball_a is None or ball_b is None:
-            continue  # the doubles overflowed
+    ball_a, ball_b = _embed_ball(a, 53), _embed_ball(b, 53)
+    if ball_a is not None and ball_b is not None:
         (va, ra), (vb, rb) = ball_a, ball_b
-        if bits <= 53:
-            da, db = abs(va), abs(vb)
-            if abs(da - db) > max(policy.double_tol * max(1.0, da, db), ra + rb):
-                return Comparison.GREATER if da > db else Comparison.LESS
-        else:
-            with mpmath.workprec(bits):
-                da, db = abs(va), abs(vb)
-                if abs(da - db) > ra + rb:
-                    return Comparison.GREATER if da > db else Comparison.LESS
-
-    diff = a * a.conjugate() - b * b.conjugate()
-    if diff.is_zero():
+        da, db = abs(va), abs(vb)
+        if abs(da - db) > ra + rb:
+            return Comparison.GREATER if da > db else Comparison.LESS
+    mid, _ = embed_value(a * a.conjugate() - b * b.conjugate(), rel_bits=1)
+    if mid == 0:
         return Comparison.EQUAL
-    # |a|^2 - |b|^2 is real: decide on the sign of the ball's real part
-    val, rad = _embed_ball(diff, max(policy.ladder[-1], _mass_bits(diff.coeff_l1())))
-    if abs(val.real) > rad:
-        return Comparison.GREATER if val.real > 0 else Comparison.LESS
-    return Comparison.UNDECIDED
+    return Comparison.GREATER if mid.real > 0 else Comparison.LESS

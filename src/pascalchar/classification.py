@@ -23,7 +23,6 @@ from .characters import (
     Character,
     Comparison,
     CycInt,
-    PrecisionPolicy,
     abs_compare,
     character,
     character_sums,
@@ -41,7 +40,6 @@ class Verdict(Enum):
     ROW_REGULAR = "RowRegular"
     ROW_DOMINANT = "RowDominant"
     BOUNDARY = "Boundary"
-    UNDECIDED = "Undecided"
 
 
 @dataclass(frozen=True)
@@ -62,12 +60,12 @@ class ClassificationRecord:
     witness_b: int | None
 
 
-def classify(chi: Character, policy: PrecisionPolicy | None = None) -> ClassificationRecord:
-    """Compare every |T(b)| against |phi(p)| with escalation at near-ties.
+def classify(chi: Character) -> ClassificationRecord:
+    """Compare every |T(b)| against |phi(p)| with abs_compare.
 
-    The verdict is RowDominant as soon as one b is proven strictly
-    greater; Undecided only when no b is proven greater and at least one
-    comparison exhausted the precision ladder.
+    Every comparison is decided, so the verdict is RowDominant when some
+    b is strictly greater, else Boundary when some b ties, else
+    RowRegular.
     """
     tables = build_tables(chi)
     p = chi.ctx.p
@@ -76,21 +74,15 @@ def classify(chi: Character, policy: PrecisionPolicy | None = None) -> Classific
     max_T_b = int(np.argmax(abs_T))
     greater: list[int] = []
     equal: list[int] = []
-    undecided: list[int] = []
     for b in range(p):
-        comp = abs_compare(tables.T_table[b], phi_p, policy)
+        comp = abs_compare(tables.T_table[b], phi_p)
         if comp is Comparison.GREATER:
             greater.append(b)
         elif comp is Comparison.EQUAL:
             equal.append(b)
-        elif comp is Comparison.UNDECIDED:
-            undecided.append(b)
     if greater:
         verdict = Verdict.ROW_DOMINANT
         witness = max(greater, key=lambda b: abs_T[b])
-    elif undecided:
-        verdict = Verdict.UNDECIDED
-        witness = None
     elif equal:
         verdict = Verdict.BOUNDARY
         witness = equal[0]
@@ -113,7 +105,7 @@ def classify(chi: Character, policy: PrecisionPolicy | None = None) -> Classific
     )
 
 
-def _scan_prime(p: int, policy: PrecisionPolicy | None) -> list[ClassificationRecord]:
+def _scan_prime(p: int) -> list[ClassificationRecord]:
     """All non-row-regular records for one prime, representative k only.
 
     Conjugate characters have conjugate T and phi values, hence identical
@@ -132,15 +124,13 @@ def _scan_prime(p: int, policy: PrecisionPolicy | None) -> list[ClassificationRe
     out: list[ClassificationRecord] = []
     for k in range(1, n // 2 + 1):
         if near[k]:
-            rec = classify(character(ctx, k), policy)
+            rec = classify(character(ctx, k))
             if rec.verdict is not Verdict.ROW_REGULAR:
                 out.append(rec)
     return out
 
 
-def scan(
-    p_max: int, jobs: int = 1, policy: PrecisionPolicy | None = None
-) -> list[ClassificationRecord]:
+def scan(p_max: int, jobs: int = 1) -> list[ClassificationRecord]:
     """Classify all characters for primes p <= p_max; keep non-row-regular.
 
     Output is deterministically ordered by (p, k) with one representative
@@ -148,10 +138,10 @@ def scan(
     """
     primes = [p for p in range(2, p_max + 1) if is_prime(p)]
     if jobs <= 1:
-        batches = [_scan_prime(p, policy) for p in primes]
+        batches = [_scan_prime(p) for p in primes]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(_scan_prime, primes, [policy] * len(primes)))
+            batches = list(pool.map(_scan_prime, primes))
     return [rec for batch in batches for rec in batch]
 
 

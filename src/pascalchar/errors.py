@@ -27,8 +27,7 @@ class OrderMismatch(PascalCharError):
 
 
 class UndefinedTheta(PascalCharError):
-    """The growth exponent log_p(phi(p)) is undefined because phi(p) is zero
-    or could not be separated from zero."""
+    """The growth exponent log_p(phi(p)) is undefined because phi(p) is zero."""
 
 
 class NotRowDominant(PascalCharError):

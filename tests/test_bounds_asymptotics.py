@@ -21,10 +21,10 @@ from pascalchar.bounds_asymptotics import (
     vartheta,
     vartheta_report,
 )
-from pascalchar.char_sequences import build_tables, phi_chi
+from pascalchar.char_sequences import FundamentalTables, build_tables, phi_chi
 from pascalchar.characters import CycInt, character, embed_value
 from pascalchar.core_arith import make_context
-from pascalchar.errors import LimitExceeded, NotPrime, NotRowDominant
+from pascalchar.errors import LimitExceeded, NotPrime, NotRowDominant, UndefinedTheta
 
 _37_12 = 37**12
 
@@ -48,6 +48,15 @@ def test_growth_profile_row_dominant_has_negative_omega(ctx37):
     assert prof.omega < 0
     assert prof.abs_phi == pytest.approx(33.876926902327896, rel=1e-12)
     assert prof.max_abs_T == pytest.approx(37.0, rel=1e-12)
+
+
+def test_growth_profile_rejects_zero_phi(ctx37):
+    # no character mod a prime below 400 has phi(p) = 0, so plant one
+    chi = character(ctx37, 10)
+    tables = build_tables(chi)
+    phi_table = tables.phi_table[:-1] + (CycInt.zero(chi.order),)
+    with pytest.raises(UndefinedTheta, match="is zero"):
+        growth_profile(chi, FundamentalTables(chi, tables.T_table, phi_table))
 
 
 def test_alpha_sequence_golden_and_invariants(contexts):

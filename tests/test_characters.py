@@ -15,7 +15,6 @@ from pascalchar.characters import (
     _KRONECKER_MAX_BITS,
     Comparison,
     CycInt,
-    PrecisionPolicy,
     UnityOrZero,
     _convolve,
     _cyclic_convolve,
@@ -268,7 +267,7 @@ def test_character_group_and_conjugates(contexts):
 
 
 # ---------------------------------------------------------------------------
-# comparison ladder
+# modulus comparison
 
 
 def test_abs_compare_decides_integers():
@@ -289,10 +288,9 @@ def test_abs_compare_proves_ties():
 
 
 def test_abs_compare_tiny_gap_needs_escalation():
-    # |7 + zeta| vs |7 + zeta^5| in order 12: equal by symmetry? no --
-    # zeta and zeta^5 have the same real part sign pattern; build a real
-    # tie-breaker instead: compare x vs x + 1 at large scale
-    x = CycInt.from_int(12, 10**8)
+    # x and x + 1 differ by 1 at 10^20, far inside the 53-bit radius of
+    # about 4e6, so only the exact sign of x^2 - (x + 1)^2 decides
+    x = CycInt.from_int(12, 10**20)
     y = x + CycInt.one(12)
     assert abs_compare(x, y) is Comparison.LESS
 
@@ -310,6 +308,26 @@ def test_abs_compare_survives_coefficient_cancellation(ctx37):
     # |phi(p)^12| = 33.877^12 < 37^12
     assert abs_compare(acc, big) is Comparison.LESS
     assert abs_compare(big, acc) is Comparison.GREATER
+
+
+@pytest.mark.parametrize(
+    "j, want", [(80, Comparison.GREATER), (120, Comparison.LESS), (200, Comparison.GREATER)]
+)
+def test_abs_compare_decides_below_double_resolution(j, want):
+    # a = (1 - zeta)^j in order 36 has modulus (2 sin(pi/36))^j, about
+    # 1e-61 at j = 80, far inside the 53-bit radius of its own coefficients
+    n = 36
+    one, zero = CycInt.one(n), CycInt.zero(n)
+    a = one
+    for _ in range(j):
+        a = a * (one - CycInt.from_exponent(n, 1))
+    assert abs_compare(a, zero) is Comparison.GREATER
+    assert abs_compare(zero, a) is Comparison.LESS
+    assert abs_compare(a, a.shift(5)) is Comparison.EQUAL
+    with mpmath.workprec(3000):
+        gap = abs(1 + (1 - mpmath.expjpi(mpmath.mpf(2) / n)) ** j) - 1
+    assert (Comparison.GREATER if gap > 0 else Comparison.LESS) is want
+    assert abs_compare(one + a, one) is want
 
 
 def test_abs_compare_beyond_double_range(ctx37):
@@ -389,14 +407,6 @@ def test_embed_ball_encloses_reference(x):
             assert abs(mpmath.mpc(mid) - want) <= rad
         assert abs(mpmath.mpc(value) - want) <= mpmath.ldexp(abs(want), -53)
         assert value_rad <= mpmath.ldexp(abs(value), -53)
-
-
-def test_precision_policy_from_env(monkeypatch):
-    monkeypatch.setenv("PASCALCHAR_PRECISION", "53,256,1024")
-    policy = PrecisionPolicy.from_env()
-    assert policy.ladder == (53, 256, 1024)
-    monkeypatch.delenv("PASCALCHAR_PRECISION")
-    assert PrecisionPolicy.from_env().ladder == (53, 128, 256)
 
 
 def test_embed_mpc_matches_embed():

@@ -124,7 +124,6 @@ def test_scan_csv_and_manifest(tmp_path, capsys):
     assert manifest["command"] == f"pascalchar scan --pmax 40 --out {out}"
     assert manifest["outputs"][str(out)] == _sha256_file(out)
     assert manifest["seeds"] == []
-    assert manifest["tolerances"]["precision_ladder"] == [53, 128, 256]
     assert manifest["wall_time_s"] >= 0
     assert "version" in manifest
 
@@ -242,10 +241,3 @@ def test_means_table(tmp_path, capsys):
     assert float(p5[6]) == pytest.approx(1.6)
 
 
-def test_precision_env_reflected_in_manifest(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PASCALCHAR_PRECISION", "128,512")
-    out = tmp_path / "e.csv"
-    assert main(["scan", "--pmax", "10", "--out", str(out)]) == 0
-    capsys.readouterr()
-    manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
-    assert manifest["tolerances"]["precision_ladder"] == [128, 512]
