@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .char_sequences import FundamentalTables, build_tables, phi_chi
+from .char_sequences import FundamentalTables, build_tables, phi_chi, tally_sum
 from .characters import (
     Character,
     Comparison,
@@ -29,6 +29,7 @@ from .characters import (
     character,
     character_sums,
     embed_value,
+    row_sum_balls,
 )
 from .classification import Verdict, classify
 from .core_arith import is_prime, make_context
@@ -391,29 +392,27 @@ class VarthetaReport:
 
 
 def vartheta_report(p: int, eps: float) -> VarthetaReport:
+    """Re theta and rho of every nonprincipal character from one
+    row_sum_balls product; skipped only when phi's ball touches 0 and the
+    exact phi(p) is zero."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     ctx = make_context(p)
-    re_thetas: list[float] = []
-    rhos: list[float] = []
-    skipped = 0
-    for k in range(1, ctx.order):
-        try:
-            profile = growth_profile(character(ctx, k))
-        except UndefinedTheta:
-            skipped += 1
-            continue
-        re_thetas.append(profile.theta.real)
-        rhos.append(profile.rho)
-    max_re = max(re_thetas, default=-math.inf)
-    max_rho = max(rhos, default=-math.inf)
+    mid, rad = row_sum_balls(ctx, range(1, ctx.order))
+    totals = ctx.row_dlog_hist.sum(axis=0)
+    zero = [i for i in np.flatnonzero(np.abs(mid[p]) <= rad[p])
+            if tally_sum(totals, character(ctx, int(i) + 1)).is_zero()]
+    kept = np.abs(np.delete(mid, zero, axis=1))
+    lp = math.log(p)
+    max_re = math.log(kept[p].max()) / lp if kept.size else -math.inf
+    max_rho = math.log(kept[:p].max()) / lp if kept.size else -math.inf
     return VarthetaReport(
         p=p,
         eps=eps,
         value=max(max_re, 1.0 + eps),
         max_re_theta=max_re,
         max_rho_plus_eps=max_rho + eps,
-        skipped=skipped,
+        skipped=len(zero),
     )
 
 

@@ -45,20 +45,25 @@ class FundamentalTables:
         return self.phi_table[self.p]
 
 
+def pushforward(hist: np.ndarray, chi: Character) -> np.ndarray:
+    """Coefficients of chi's sums over the dlog tallies hist[..., e]: each
+    tally scattered along e -> (k*e) mod order, collisions accumulated."""
+    n = hist.shape[-1]
+    coeff = np.zeros(hist.shape, dtype=np.int64)
+    np.add.at(coeff, (..., (chi.k * np.arange(n)) % n), hist)
+    return coeff
+
+
+def tally_sum(tally: np.ndarray, chi: Character) -> CycInt:
+    """The exact sum of chi over the entries that one dlog tally counts."""
+    return CycInt(chi.order, tuple(pushforward(tally, chi).tolist()))
+
+
 def build_tables(chi: Character) -> FundamentalTables:
-    ctx = chi.ctx
-    p, n = ctx.p, max(ctx.order, 1)
-    hist = ctx.row_dlog_hist
-    # chi maps discrete log e to exponent (k*e) mod order; scatter the
-    # per-row histograms along that index map, accumulating collisions.
-    idx = (chi.k * np.arange(n)) % n
-    coeff = np.zeros((p, n), dtype=np.int64)
-    np.add.at(coeff, (slice(None), idx), hist)
-    order = ctx.order
-    T_table = tuple(CycInt(order, tuple(row)) for row in coeff.tolist())
-    prefix = np.zeros((p + 1, n), dtype=np.int64)
-    np.cumsum(coeff, axis=0, out=prefix[1:])
-    phi_table = tuple(CycInt(order, tuple(row)) for row in prefix.tolist())
+    coeff = pushforward(chi.ctx.row_dlog_hist, chi)
+    prefix = np.cumsum(np.vstack([np.zeros_like(coeff[:1]), coeff]), axis=0)
+    T_table = tuple(CycInt(chi.order, tuple(row)) for row in coeff.tolist())
+    phi_table = tuple(CycInt(chi.order, tuple(row)) for row in prefix.tolist())
     return FundamentalTables(chi, T_table, phi_table)
 
 

@@ -4,10 +4,11 @@ A character is a single exponent index k with chi(g) = zeta^k for the
 context's canonical generator g, where zeta = exp(2 pi i/(p-1)). Values of
 character sums live in CycInt: an integer coefficient vector over the
 powers of zeta, added and multiplied exactly, with no canonical reduction
-during accumulation. Every value that must be trusted reads one
-midpoint-radius enclosure, _embed_ball, with one proven error bound;
-embed_value escalates it until the value is accurate to a requested
-relative precision. abs_compare decides |a| vs |b| from one double ball
+during accumulation. Every value that must be trusted reads a
+midpoint-radius enclosure with one proven error bound, _ball_radius:
+_embed_ball for one value, row_sum_balls for every row sum of a prime at
+once. embed_value escalates _embed_ball until the value is accurate to a
+requested relative precision. abs_compare decides |a| vs |b| from one double ball
 per operand, or else from the sign of the exact real |a|^2 - |b|^2, so
 strict inequalities are decided soundly even at genuine ties.
 """
@@ -412,10 +413,6 @@ class Character:
         return UnityOrZero.root(self.order, self.k * self.ctx.dlog[r])
 
     @property
-    def name(self) -> str:
-        return f"p={self.ctx.p} k={self.k} (chi(g)=zeta^k, g={self.ctx.g})"
-
-    @property
     def label(self) -> str:
         """Exponential-form label, e.g. chi(2)=e^{20pi i/36}."""
         return f"chi({self.ctx.g})=e^{{{2 * self.k}pi i/{self.order}}}"
@@ -442,8 +439,8 @@ def character_sums(hist: np.ndarray) -> np.ndarray:
     A real tally of entries by discrete log goes to its sum over chi_k for
     all k at once: with chi_k(g^e) = zeta^(k*e) that sum is an inverse DFT
     (Garfield-Wilf's group-ring view), here the conjugate of the forward
-    FFT because hist is real. Row b of row_dlog_hist gives T_k(b); the
-    column totals give phi_k(p).
+    FFT because hist is real. The values carry no radius: reports read
+    them, verdicts read row_sum_balls.
     """
     return np.conj(np.fft.fft(hist, axis=-1))
 
@@ -463,31 +460,58 @@ def _mass_bits(l1: int) -> int:
     return max(128, l1.bit_length() + 96)
 
 
+def _ball_radius(l1, order: int, bits: int = 53):
+    """Error radius (l1 + 1) * order * 2^(5 - bits) of a sum of `order`
+    terms c_j * zeta^j of mass l1 = sum |c_j| at `bits` of precision.
+
+    With u = 2^-bits (2^-53 for doubles; fewer bits only widen the ball),
+    a computed root zeta^j is off by under 22u (three roundings of an
+    angle below 2 pi, then an ulp in cos and in sin); rounding c_j and the
+    product c_j * zeta^j add u|c_j| each, so term j is off by under
+    24u|c_j|; each of the under `order` additions adds u times a partial
+    sum of modulus at most l1 * (1 + 24u). The total is below
+    26 * order * l1 * u; the rest of the radius covers rounding |mid| and
+    the difference of two moduli when balls are compared.
+    """
+    if bits > 53:
+        return mpmath.ldexp((l1 + 1) * order, 5 - bits)
+    return (l1 + 1) * order * 2.0 ** (5 - bits)
+
+
 def _embed_ball(x: CycInt, bits: int) -> tuple | None:
     """embed(x) at `bits` of working precision as a ball (mid, rad) with
     |embed(x) - mid| <= rad, or None when the doubles overflow. Up to 53
     bits mid is the complex `x.embed()` and rad a float; above, mid is
     `x.embed_mpc(bits)` and rad an mpf.
-
-    rad = (l1 + 1) * order * 2^(5 - bits) for coefficient mass l1. With
-    u = 2^-bits (2^-53 for doubles; fewer bits only widen the ball), a
-    computed root zeta^j is off by under 22u (three roundings of an angle
-    below 2 pi, then an ulp in cos and in sin); rounding c_j and the
-    product c_j * zeta^j add u|c_j| each, so term j is off by under
-    24u|c_j|; each of the under `order` additions adds u times a partial
-    sum of modulus at most l1 * (1 + 24u). The total is below
-    26 * order * l1 * u; the rest of rad covers rounding |mid| and the
-    difference of two moduli when balls are compared.
     """
     l1 = x.coeff_l1()
     if bits > 53:
-        return x.embed_mpc(bits), mpmath.ldexp((l1 + 1) * x.order, 5 - bits)
+        return x.embed_mpc(bits), _ball_radius(l1, x.order, bits)
     try:
-        mid = x.embed()
-        rad = float((l1 + 1) * x.order) * 2.0 ** (5 - bits)
+        mid, rad = x.embed(), _ball_radius(l1, x.order, bits)
     except OverflowError:
         return None
     return (mid, rad) if math.isfinite(abs(mid)) else None
+
+
+def row_sum_balls(ctx: PrimeContext, ks) -> tuple[np.ndarray, np.ndarray]:
+    """53-bit balls (mid, rad) of T_k(b) for every row b < p (mid[b, i])
+    and of phi_k(p) (mid[p, i]), k = ks[i], from one matrix product.
+
+    mid = [row_dlog_hist; column totals] @ Z with Z[e, i] = zeta^(ks[i]*e),
+    and rad[b] = _ball_radius(l1) with l1 = b + 1, the entries of row b,
+    and p(p+1)/2 for phi. The derivation holds for any summation order
+    the BLAS picks: a sum of n terms, however blocked and associated, is
+    off by under n*u times the terms' total modulus (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3). The counts are integers
+    below 2^53 with zero imaginary part, so zgemm's product
+    (c + 0i)(x + iy) rounds only c*x and c*y, once each (0*y and 0*x are
+    exact zeros, fused or not), as _ball_radius allows.
+    """
+    p, n, hist = ctx.p, max(ctx.order, 1), ctx.row_dlog_hist
+    counts = np.vstack([hist, hist.sum(axis=0)]).astype(np.float64)
+    mid = counts @ _roots(n)[np.outer(np.arange(n), np.asarray(ks, dtype=np.int64)) % n]
+    return mid, _ball_radius(np.append(np.arange(1, p + 1), p * (p + 1) // 2), n)
 
 
 def _tight(ball: tuple, rel_bits: int) -> bool:

@@ -3,22 +3,21 @@
 A character is row-regular when every single-row sum |T(b)| over the
 first p rows stays strictly below the block total |phi(p)|, row-dominant
 when some row strictly beats the total, and on the boundary when the
-best row exactly ties it. The scan takes every row sum T_k(b) of a
-prime from one FFT of its dlog histogram (character_sums), then
-re-derives every near-tie exactly so no verdict rests on floating point
-alone.
+best row exactly ties it. Every T_k(b) and phi_k(p) of a prime comes
+as a 53-bit ball from one matrix product (row_sum_balls); only rows
+whose ball overlaps phi's go to the exact comparator, so no verdict
+rests on an uncertified float.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .char_sequences import build_tables
+from .char_sequences import tally_sum
 from .characters import (
     Character,
     Comparison,
@@ -26,14 +25,9 @@ from .characters import (
     abs_compare,
     character,
     character_sums,
+    row_sum_balls,
 )
 from .core_arith import is_prime, make_context
-
-# FFT prefilter: flag a character for exact classification when
-# max |T(b)| comes within this relative margin of |phi(p)|. At p = 997 the
-# rounding error of T and phi stays under 1e-6 of the margin, measured at
-# about 2e-9 of it (test_prefilter_error_below_margin).
-PREFILTER_MARGIN = 1e-6
 
 
 class Verdict(Enum):
@@ -61,34 +55,32 @@ class ClassificationRecord:
 
 
 def classify(chi: Character) -> ClassificationRecord:
-    """Compare every |T(b)| against |phi(p)| with abs_compare.
+    """Compare every |T(b)| against |phi(p)|.
 
-    Every comparison is decided, so the verdict is RowDominant when some
-    b is strictly greater, else Boundary when some b ties, else
-    RowRegular.
+    The row_sum_balls decide every row whose ball is clear of phi(p)'s,
+    as abs_compare's ball step would; abs_compare decides the overlapping
+    rows on exact values. The verdict is RowDominant when some b is
+    strictly greater, else Boundary when some b ties, else RowRegular.
+    Only phi(p), the largest row and the overlapping rows are built as
+    exact CycInts.
     """
-    tables = build_tables(chi)
-    p = chi.ctx.p
-    phi_p = tables.phi_p
-    abs_T = [abs(t.embed()) for t in tables.T_table]
+    ctx = chi.ctx
+    p, hist = ctx.p, ctx.row_dlog_hist
+    mid, rad = row_sum_balls(ctx, [chi.k])
+    abs_T = np.abs(mid[:p, 0])
+    gap, slack = abs(mid[p, 0]) - abs_T, rad[:p] + rad[p]
+    phi_p = tally_sum(hist.sum(axis=0), chi)
+    sign = np.where(gap < -slack, 1, -1)  # of |T(b)| - |phi(p)|
+    for b in np.flatnonzero(np.abs(gap) <= slack):
+        comp = abs_compare(tally_sum(hist[b], chi), phi_p)
+        sign[b] = (comp is Comparison.GREATER) - (comp is Comparison.LESS)
+    verdict, witness = Verdict.ROW_REGULAR, None
+    if (sign > 0).any():  # the largest greater row, the first of equals
+        verdict, witness = Verdict.ROW_DOMINANT, int(np.argmax(np.where(sign > 0, abs_T, -1.0)))
+    elif (sign == 0).any():
+        verdict, witness = Verdict.BOUNDARY, int(np.argmax(sign == 0))
     max_T_b = int(np.argmax(abs_T))
-    greater: list[int] = []
-    equal: list[int] = []
-    for b in range(p):
-        comp = abs_compare(tables.T_table[b], phi_p)
-        if comp is Comparison.GREATER:
-            greater.append(b)
-        elif comp is Comparison.EQUAL:
-            equal.append(b)
-    if greater:
-        verdict = Verdict.ROW_DOMINANT
-        witness = max(greater, key=lambda b: abs_T[b])
-    elif equal:
-        verdict = Verdict.BOUNDARY
-        witness = equal[0]
-    else:
-        verdict = Verdict.ROW_REGULAR
-        witness = None
+    max_T = tally_sum(hist[max_T_b], chi)
     return ClassificationRecord(
         p=p,
         k=chi.k,
@@ -98,51 +90,32 @@ def classify(chi: Character) -> ClassificationRecord:
         phi_value=phi_p.embed(),
         abs_phi=abs(phi_p.embed()),
         max_T_b=max_T_b,
-        max_T=tables.T_table[max_T_b],
-        max_T_abs=abs_T[max_T_b],
+        max_T=max_T,
+        max_T_abs=abs(max_T.embed()),
         verdict=verdict,
         witness_b=witness,
     )
 
 
-def _scan_prime(p: int) -> list[ClassificationRecord]:
-    """All non-row-regular records for one prime, representative k only.
+def scan(p_max: int) -> list[ClassificationRecord]:
+    """Classify all characters for primes p <= p_max; keep non-row-regular.
 
     Conjugate characters have conjugate T and phi values, hence identical
-    magnitudes and verdicts, so only k <= (p-1)/2 is examined and the
-    records come out ordered by k.
+    magnitudes and verdicts, so only k <= (p-1)/2 is examined, and the
+    output is ordered by (p, k). One row_sum_balls product per prime
+    proves most characters row-regular; classify decides the rest.
     """
-    ctx = make_context(p)
-    n = ctx.order
-    if n < 2:
-        return []
-    t_vals = character_sums(ctx.row_dlog_hist)  # t_vals[b, k] = T_k(b)
-    max_t = np.abs(t_vals).max(axis=0)
-    abs_phi = np.abs(t_vals.sum(axis=0))
-    margin = PREFILTER_MARGIN * np.maximum(1.0, np.maximum(abs_phi, max_t))
-    near = max_t >= abs_phi - margin
     out: list[ClassificationRecord] = []
-    for k in range(1, n // 2 + 1):
-        if near[k]:
-            rec = classify(character(ctx, k))
+    for p in filter(is_prime, range(3, p_max + 1)):  # p = 2 has only chi_0
+        ctx = make_context(p)
+        ks = np.arange(1, ctx.order // 2 + 1)
+        mid, rad = row_sum_balls(ctx, ks)
+        below = np.abs(mid[p]) - np.abs(mid[:p]) > (rad[:p] + rad[p])[:, None]
+        for k in ks[~below.all(axis=0)]:
+            rec = classify(character(ctx, int(k)))
             if rec.verdict is not Verdict.ROW_REGULAR:
                 out.append(rec)
     return out
-
-
-def scan(p_max: int, jobs: int = 1) -> list[ClassificationRecord]:
-    """Classify all characters for primes p <= p_max; keep non-row-regular.
-
-    Output is deterministically ordered by (p, k) with one representative
-    per conjugate pair (the smaller exponent index), independent of jobs.
-    """
-    primes = [p for p in range(2, p_max + 1) if is_prime(p)]
-    if jobs <= 1:
-        batches = [_scan_prime(p) for p in primes]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(_scan_prime, primes))
-    return [rec for batch in batches for rec in batch]
 
 
 def write_classification_csv(records: list[ClassificationRecord], path: str) -> None:
@@ -188,9 +161,7 @@ def format_scan_table(records: list[ClassificationRecord]) -> str:
 def fundamental_scatter(p_max: int) -> list[tuple[int, int, str, float, float]]:
     """One row (p, k, parity, re, im) of phi(p)/p per nonprincipal character."""
     rows: list[tuple[int, int, str, float, float]] = []
-    for p in range(3, p_max + 1):
-        if not is_prime(p):
-            continue
+    for p in filter(is_prime, range(3, p_max + 1)):
         ctx = make_context(p)
         phis = character_sums(ctx.row_dlog_hist.sum(axis=0))  # phis[k] = phi_k(p)
         for k in range(1, ctx.order):

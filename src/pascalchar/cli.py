@@ -119,7 +119,7 @@ def _value_str(x: CycInt) -> str:
 
 def _cmd_scan(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
-    records = scan(args.pmax, jobs=args.jobs)
+    records = scan(args.pmax)
     print(format_scan_table(records))
     if args.out:
         write_classification_csv(records, args.out)
@@ -396,7 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="classify characters for all primes up to a bound")
     p_scan.add_argument("--pmax", type=int, required=True)
-    p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--out", default=None)
     p_scan.set_defaults(func=_cmd_scan)
 

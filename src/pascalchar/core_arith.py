@@ -4,7 +4,7 @@ Pascal rows mod p, and Lucas-theorem binomial evaluation.
 Everything downstream hangs off a PrimeContext, which eagerly stores the
 first p rows of the triangle (the fundamental domain) together with a
 discrete-log table for the chosen generator. Contexts are immutable after
-construction and safe to share across worker processes.
+construction.
 """
 
 from __future__ import annotations

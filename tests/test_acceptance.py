@@ -84,18 +84,12 @@ def test_criterion_02_full_table_scan(tmp_path, capsys):
     assert by_pk[(37, 10)] == "chi(2)=e^{20pi i/36}"
     assert by_pk[(47, 16)] == "chi(5)=e^{32pi i/46}"
 
-    started = time.perf_counter()
-    parallel = scan(230, jobs=8)
-    parallel_s = time.perf_counter() - started
-    assert parallel_s < 120.0
-    assert [(r.p, r.k) for r in parallel] == SCAN_GOLDEN
-
     # truncating the range just below the largest listed prime leaves the
     # 22-entry table that older summaries quote
     assert [(r.p, r.k) for r in scan(228)] == SCAN_GOLDEN[:22]
     print(
-        f"criterion 02 PASS: 26 entries at pmax 230 ({serial_s:.2f}s serial, "
-        f"{parallel_s:.2f}s at 8 jobs), 22 at pmax 228"
+        f"criterion 02 PASS: 26 entries at pmax 230 ({serial_s:.2f}s serial), "
+        f"22 at pmax 228"
     )
 
 

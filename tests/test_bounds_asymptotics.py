@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from pascalchar import bounds_asymptotics
 from pascalchar.bounds_asymptotics import (
     alpha_sequence,
     bound_report,
@@ -271,6 +272,41 @@ def test_vartheta_report_consistency():
         assert rep.max_re_theta < 2.0  # theta is bounded by the trivial exponent
     with pytest.raises(ValueError):
         vartheta_report(5, 0.0)
+
+
+def _vartheta_by_profiles(p, eps):
+    """(skipped, max Re theta, max rho + eps) from one growth_profile per
+    nonprincipal character, the loop vartheta_report replaced."""
+    ctx = make_context(p)
+    re_thetas, rhos, skipped = [], [], 0
+    for k in range(1, ctx.order):
+        try:
+            profile = growth_profile(character(ctx, k))
+        except UndefinedTheta:
+            skipped += 1
+            continue
+        re_thetas.append(profile.theta.real)
+        rhos.append(profile.rho)
+    return skipped, max(re_thetas, default=-math.inf), max(rhos, default=-math.inf) + eps
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 13, 37, 101])
+def test_vartheta_report_matches_per_character_profiles(monkeypatch, p):
+    skipped, max_re, max_rho_plus_eps = _vartheta_by_profiles(p, 0.05)
+    rep = vartheta_report(p, 0.05)
+    assert rep.skipped == skipped
+    assert rep.max_rho_plus_eps == max_rho_plus_eps
+    assert rep.max_re_theta == pytest.approx(max_re, rel=1e-12)
+    # balls widened past 0 send every phi(p) to the exact zero test,
+    # which must skip none of these nonzero values
+    real = bounds_asymptotics.row_sum_balls
+
+    def wide_balls(ctx, ks):
+        mid, rad = real(ctx, ks)
+        return mid, rad * 1e30
+
+    monkeypatch.setattr(bounds_asymptotics, "row_sum_balls", wide_balls)
+    assert vartheta_report(p, 0.05) == rep
 
 
 def test_bounded_growth_check_fields(ctx37, contexts):

@@ -140,7 +140,7 @@ def test_scan_empty_range_header_only(tmp_path, capsys):
 def test_scan_output_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["scan", "--pmax", "50", "--out", str(a)])
-    main(["scan", "--pmax", "50", "--jobs", "2", "--out", str(b)])
+    main(["scan", "--pmax", "50", "--out", str(b)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 
