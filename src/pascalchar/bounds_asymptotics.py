@@ -23,13 +23,10 @@ import numpy as np
 from .char_sequences import FundamentalTables, build_tables, phi_chi, tally_sum
 from .characters import (
     Character,
-    Comparison,
     CycInt,
-    abs_compare,
     character,
-    character_sums,
+    character_balls,
     embed_value,
-    row_sum_balls,
 )
 from .classification import Verdict, classify
 from .core_arith import is_prime, make_context
@@ -43,8 +40,6 @@ from .errors import (
 )
 
 ALPHA_WORK_LIMIT = 10**7
-# FFT rounding allowance, relative to p, in the Weil column check
-WEIL_SLACK = 1e-7
 _SWEEP_CHUNK = 1 << 19
 
 
@@ -69,18 +64,21 @@ class GrowthProfile:
 
 
 def growth_profile(chi: Character, tables: FundamentalTables | None = None) -> GrowthProfile:
+    """theta, rho and q from 53-bit balls of the tables; embed_value where phi(p)'s touches 0."""
     if tables is None:
         tables = build_tables(chi)
     p = chi.ctx.p
-    phi_p = tables.phi_p
-    if abs_compare(phi_p, CycInt.zero(phi_p.order)) is not Comparison.GREATER:
-        raise UndefinedTheta(f"phi(p) for p={p}, k={chi.k} is zero")
-    val = phi_p.embed()
+    mid, rad = _table_balls(tables.T_table + (tables.phi_p,))
+    val = complex(mid[-1])
+    if abs(val) <= rad[-1]:
+        val = complex(embed_value(tables.phi_p)[0])  # (0j, 0.0) only for an exact zero
+        if val == 0:
+            raise UndefinedTheta(f"phi(p) for p={p}, k={chi.k} is zero")
     lp = math.log(p)
     theta = cmath.log(val) / lp
     # exact zeros of T contribute -inf to the exponent max and can never
     # attain it, because T(0) = 1 keeps the max at least 0
-    max_t = max(abs(t.embed()) for t in tables.T_table)
+    max_t = float(np.abs(mid[:p]).max())
     abs_phi = abs(val)
     q = max_t / abs_phi
     return GrowthProfile(
@@ -99,21 +97,15 @@ def growth_profile(chi: Character, tables: FundamentalTables | None = None) -> G
 # band sweeps
 
 
-def _ratio_sweep_max(
-    lo: int,
-    hi: int,
-    sigma: float,
-    p: int,
-    t_emb: np.ndarray,
-    f_emb: np.ndarray,
-) -> tuple[float, int]:
-    """Max of |phi(n)|/n^sigma over lo <= n <= hi, with an argmax.
+def _ratio_sweep_max(lo: int, hi: int, sigma: float, p: int, emb: np.ndarray) -> tuple[float, int]:
+    """Max of |phi(n)|/n^sigma over lo <= n <= hi, with an argmax, from
+    emb, the values of T(0..p-1) and then of phi(0..p).
 
     Evaluates phi for a whole chunk of n at once: the digit recursion
     runs over digit positions (a fixed, small count) with elementwise
     complex vectors, so the cost is O(digits * chunk).
     """
-    f_p = f_emb[p]
+    f_p = emb[2 * p]
     ndigits = 1
     while p**ndigits <= hi:
         ndigits += 1
@@ -125,8 +117,8 @@ def _ratio_sweep_max(
         t = np.ones(len(ns), dtype=np.complex128)
         for j in range(ndigits - 1, -1, -1):
             d = (ns // p**j) % p
-            acc = acc * f_p + t * f_emb[d]
-            t = t * t_emb[d]
+            acc = acc * f_p + t * emb[p + d]
+            t = t * emb[d]
         ratios = np.abs(acc) / ns.astype(np.float64) ** sigma
         i = int(np.argmax(ratios))
         if ratios[i] > best:
@@ -135,10 +127,11 @@ def _ratio_sweep_max(
     return best, best_n
 
 
-def _embed_tables(tables: FundamentalTables) -> tuple[np.ndarray, np.ndarray]:
-    t_emb = np.array([t.embed() for t in tables.T_table], dtype=np.complex128)
-    f_emb = np.array([f.embed() for f in tables.phi_table], dtype=np.complex128)
-    return t_emb, f_emb
+def _table_balls(values: tuple[CycInt, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """53-bit balls (mid, rad) of table values, from one character_balls
+    call at k = 1 over their own coefficient vectors."""
+    mid, rad = character_balls([x.coeffs for x in values], [1])
+    return mid[:, 0], rad
 
 
 @dataclass(frozen=True)
@@ -165,12 +158,12 @@ def alpha_sequence(
     if tables is None:
         tables = build_tables(chi)
     sigma = growth_profile(chi, tables).theta.real
-    t_emb, f_emb = _embed_tables(tables)
+    emb, _ = _table_balls(tables.T_table + tables.phi_table)
     alphas = []
     for k in range(1, k_max + 1):
         lo = p ** (k - 1) + 1
         hi = p**k
-        alphas.append(_ratio_sweep_max(lo, hi, sigma, p, t_emb, f_emb)[0])
+        alphas.append(_ratio_sweep_max(lo, hi, sigma, p, emb)[0])
     return AlphaSequence(p=p, k=chi.k, re_theta=sigma, alphas=tuple(alphas))
 
 
@@ -186,8 +179,8 @@ def sup_ratio(
         raise LimitExceeded(f"n_max = {n_max} exceeds sweep limit {limit}")
     if tables is None:
         tables = build_tables(chi)
-    t_emb, f_emb = _embed_tables(tables)
-    return _ratio_sweep_max(2, n_max, exponent, chi.ctx.p, t_emb, f_emb)
+    emb, _ = _table_balls(tables.T_table + tables.phi_table)
+    return _ratio_sweep_max(2, n_max, exponent, chi.ctx.p, emb)
 
 
 @dataclass(frozen=True)
@@ -257,7 +250,9 @@ def psi(
         m //= p
     if tables is None:
         tables = build_tables(chi)
-    growth_profile(chi, tables)  # raises UndefinedTheta when phi(p) is zero
+    phi_ball = embed_value(tables.phi_p)
+    if phi_ball == (0j, 0.0):
+        raise UndefinedTheta(f"phi(p) for p={p}, k={chi.k} is zero")
     if m == 1:
         return complex(1.0)
     # phi(m) and m^theta both leave double range long before their
@@ -265,7 +260,7 @@ def psi(
     # log m, so take theta, divide in mpmath and round once at the end
     val, _ = embed_value(phi_chi(m, tables))
     with mpmath.workprec(128):
-        theta = mpmath.log(embed_value(tables.phi_p)[0]) / mpmath.log(p)
+        theta = mpmath.log(phi_ball[0]) / mpmath.log(p)
         return complex(val / mpmath.exp(theta * mpmath.log(m)))
 
 
@@ -332,31 +327,33 @@ def bound_report(p: int) -> BoundReport:
     """Evaluate all bounds at p and verify the per-column inequalities.
 
     For every nonprincipal character and every column 2 <= n <= floor(sqrt(p)),
-    |sum over m < p of chi(C(m, n))| must be at most n*sqrt(p); a failure
-    raises WeilViolation since it can only mean a computation bug.
+    |sum over m < p of chi(C(m, n))| must be at most n*sqrt(p); a sum whose
+    whole 53-bit ball lies above raises WeilViolation, as only a bug can.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p < 3:
         raise ValueError("bound report needs p >= 3")
     ctx = make_context(p)
-    max_abs_phi = float(np.abs(character_sums(ctx.row_dlog_hist.sum(axis=0))[1:]).max())
+    phis, _ = character_balls(ctx.row_dlog_hist.sum(axis=0), range(1, ctx.order))
+    max_abs_phi = float(np.abs(phis).max())
     s = math.isqrt(p)
     weil_A = p * p - 2 * p * s + p + s * s + s
     weil_B = s * s + s - 2
     rp = math.sqrt(p)
     weil = (weil_A + weil_B * rp) / 2.0
     weil_simple = (p * p - p * rp + 5 * p - rp) / 2.0
-    columns = 0
-    for col in range(2, s + 1):
-        dlogs = [ctx.dlog[ctx.fd_rows[m][col]] for m in range(col, p)]
-        sums = np.abs(character_sums(np.bincount(dlogs, minlength=ctx.order)))
-        k = 1 + int(np.argmax(sums[1:]))
-        if sums[k] > col * rp + WEIL_SLACK * p:
-            raise WeilViolation(
-                f"p={p} column {col} character k={k}: |sum|={sums[k]} > {col}*sqrt(p)"
-            )
-        columns += 1
+    cols = np.arange(2, s + 1)
+    tally = np.zeros((len(cols), ctx.order), dtype=np.int64)  # column n in row n - 2
+    for n in cols:
+        np.add.at(tally[n - 2], [ctx.dlog[ctx.fd_rows[m][n]] for m in range(n, p)], 1)
+    mid, rad = character_balls(tally, range(1, ctx.order))
+    over = np.argwhere(np.abs(mid) - rad[:, None] > cols[:, None] * rp)
+    if len(over):
+        i, j = over[0]
+        raise WeilViolation(
+            f"p={p} column {cols[i]} character k={j + 1}: |sum|={abs(mid[i, j])} > {cols[i]}*sqrt(p)"
+        )
     return BoundReport(
         p=p,
         trivial=p * (p + 1) // 2,
@@ -365,7 +362,7 @@ def bound_report(p: int) -> BoundReport:
         weil=weil,
         weil_simple=weil_simple,
         max_abs_phi=max_abs_phi,
-        columns_checked=columns,
+        columns_checked=len(cols),
     )
 
 
@@ -380,37 +377,45 @@ class VarthetaReport:
     value is max over nonprincipal characters of Re(theta) joined with
     1 + eps; max_rho_plus_eps is the alternative built from the
     single-row exponent rho. Characters with phi(p) = 0 contribute
-    nothing (effectively -inf).
+    nothing (effectively -inf). max_re_theta_rad bounds max_re_theta's error.
     """
 
     p: int
     eps: float
     value: float
     max_re_theta: float
+    max_re_theta_rad: float
     max_rho_plus_eps: float
     skipped: int
 
 
 def vartheta_report(p: int, eps: float) -> VarthetaReport:
     """Re theta and rho of every nonprincipal character from one
-    row_sum_balls product; skipped only when phi's ball touches 0 and the
-    exact phi(p) is zero."""
+    character_balls call; skipped only when phi's ball touches 0 and the
+    exact phi(p) is zero. The phi_k(p) balls share one radius r, so the
+    true max |phi_k(p)| is within r of the top midpoint M, and log_p moves
+    by at most r/((M - r) ln p) over [M - r, M + r]."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     ctx = make_context(p)
-    mid, rad = row_sum_balls(ctx, range(1, ctx.order))
-    totals = ctx.row_dlog_hist.sum(axis=0)
+    hist = ctx.row_dlog_hist
+    totals = hist.sum(axis=0)
+    mid, rad = character_balls(np.vstack([hist, totals]), range(1, ctx.order))
     zero = [i for i in np.flatnonzero(np.abs(mid[p]) <= rad[p])
             if tally_sum(totals, character(ctx, int(i) + 1)).is_zero()]
     kept = np.abs(np.delete(mid, zero, axis=1))
     lp = math.log(p)
-    max_re = math.log(kept[p].max()) / lp if kept.size else -math.inf
-    max_rho = math.log(kept[:p].max()) / lp if kept.size else -math.inf
+    max_re, max_re_rad, max_rho = -math.inf, 0.0, -math.inf
+    if kept.size:
+        top = kept[p].max()
+        max_re, max_rho = math.log(top) / lp, math.log(kept[:p].max()) / lp
+        max_re_rad = rad[p] / ((top - rad[p]) * lp) if top > rad[p] else math.inf
     return VarthetaReport(
         p=p,
         eps=eps,
         value=max(max_re, 1.0 + eps),
         max_re_theta=max_re,
+        max_re_theta_rad=max_re_rad,
         max_rho_plus_eps=max_rho + eps,
         skipped=len(zero),
     )

@@ -4,13 +4,15 @@ A character is a single exponent index k with chi(g) = zeta^k for the
 context's canonical generator g, where zeta = exp(2 pi i/(p-1)). Values of
 character sums live in CycInt: an integer coefficient vector over the
 powers of zeta, added and multiplied exactly, with no canonical reduction
-during accumulation. Every value that must be trusted reads a
-midpoint-radius enclosure with one proven error bound, _ball_radius:
-_embed_ball for one value, row_sum_balls for every row sum of a prime at
-once. embed_value escalates _embed_ball until the value is accurate to a
-requested relative precision. abs_compare decides |a| vs |b| from one double ball
-per operand, or else from the sign of the exact real |a|^2 - |b|^2, so
-strict inequalities are decided soundly even at genuine ties.
+during accumulation. Every numeric value reads a midpoint-radius
+enclosure with one proven error bound, _ball_radius: _embed_ball for one
+value, character_balls for the sums of chosen characters over a whole
+stack of dlog tallies at once (the all-character transform).
+embed_value escalates _embed_ball until the value is accurate to a
+requested relative precision. abs_compare decides |a| vs |b| from one
+double ball per operand, or else from the sign of the exact real
+|a|^2 - |b|^2, so strict inequalities are decided soundly even at
+genuine ties.
 """
 
 from __future__ import annotations
@@ -433,18 +435,6 @@ def group(ctx: PrimeContext) -> list[Character]:
     return [Character(ctx, k) for k in range(ctx.order)]
 
 
-def character_sums(hist: np.ndarray) -> np.ndarray:
-    """sum_e hist[..., e] * zeta^(k*e) for every k, along the last axis.
-
-    A real tally of entries by discrete log goes to its sum over chi_k for
-    all k at once: with chi_k(g^e) = zeta^(k*e) that sum is an inverse DFT
-    (Garfield-Wilf's group-ring view), here the conjugate of the forward
-    FFT because hist is real. The values carry no radius: reports read
-    them, verdicts read row_sum_balls.
-    """
-    return np.conj(np.fft.fft(hist, axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # magnitude comparison
 
@@ -494,24 +484,27 @@ def _embed_ball(x: CycInt, bits: int) -> tuple | None:
     return (mid, rad) if math.isfinite(abs(mid)) else None
 
 
-def row_sum_balls(ctx: PrimeContext, ks) -> tuple[np.ndarray, np.ndarray]:
-    """53-bit balls (mid, rad) of T_k(b) for every row b < p (mid[b, i])
-    and of phi_k(p) (mid[p, i]), k = ks[i], from one matrix product.
+def character_balls(tally, ks) -> tuple[np.ndarray, np.ndarray]:
+    """53-bit balls (mid, rad) of sum_e tally[..., e] * zeta^(k*e) for
+    k = ks[i] (mid[..., i]), from one matrix product.
 
-    mid = [row_dlog_hist; column totals] @ Z with Z[e, i] = zeta^(ks[i]*e),
-    and rad[b] = _ball_radius(l1) with l1 = b + 1, the entries of row b,
-    and p(p+1)/2 for phi. The derivation holds for any summation order
-    the BLAS picks: a sum of n terms, however blocked and associated, is
-    off by under n*u times the terms' total modulus (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3). The counts are integers
+    tally is an integer array over the exponents e along its last axis:
+    a count of entries by discrete log, whose sums over chi_k for every
+    k form an inverse DFT (Garfield-Wilf's group-ring view), or the signed
+    coefficient vector of a CycInt. mid = tally @ Z with
+    Z[e, i] = zeta^(ks[i]*e), and rad = _ball_radius of the mass
+    |tally|.sum(-1). The derivation holds for any summation order the
+    BLAS picks: a sum of n terms, however blocked and associated, is off
+    by under n*u times the terms' total modulus (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3). The entries are integers
     below 2^53 with zero imaginary part, so zgemm's product
     (c + 0i)(x + iy) rounds only c*x and c*y, once each (0*y and 0*x are
     exact zeros, fused or not), as _ball_radius allows.
     """
-    p, n, hist = ctx.p, max(ctx.order, 1), ctx.row_dlog_hist
-    counts = np.vstack([hist, hist.sum(axis=0)]).astype(np.float64)
-    mid = counts @ _roots(n)[np.outer(np.arange(n), np.asarray(ks, dtype=np.int64)) % n]
-    return mid, _ball_radius(np.append(np.arange(1, p + 1), p * (p + 1) // 2), n)
+    tally = np.asarray(tally)
+    n = tally.shape[-1]
+    zeta = _roots(n)[np.outer(np.arange(n), np.asarray(ks, dtype=np.int64)) % n]
+    return tally.astype(np.float64) @ zeta, _ball_radius(np.abs(tally).sum(axis=-1), n)
 
 
 def _tight(ball: tuple, rel_bits: int) -> bool:

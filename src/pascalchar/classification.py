@@ -4,9 +4,9 @@ A character is row-regular when every single-row sum |T(b)| over the
 first p rows stays strictly below the block total |phi(p)|, row-dominant
 when some row strictly beats the total, and on the boundary when the
 best row exactly ties it. Every T_k(b) and phi_k(p) of a prime comes
-as a 53-bit ball from one matrix product (row_sum_balls); only rows
-whose ball overlaps phi's go to the exact comparator, so no verdict
-rests on an uncertified float.
+as a 53-bit ball from one character_balls call; only rows whose ball
+overlaps phi's go to the exact comparator, so no verdict rests on an
+uncertified float. The scatter and mean reports read the midpoints.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .characters import (
     CycInt,
     abs_compare,
     character,
-    character_sums,
-    row_sum_balls,
+    character_balls,
 )
 from .core_arith import is_prime, make_context
 
@@ -57,7 +56,7 @@ class ClassificationRecord:
 def classify(chi: Character) -> ClassificationRecord:
     """Compare every |T(b)| against |phi(p)|.
 
-    The row_sum_balls decide every row whose ball is clear of phi(p)'s,
+    The character_balls decide every row whose ball is clear of phi(p)'s,
     as abs_compare's ball step would; abs_compare decides the overlapping
     rows on exact values. The verdict is RowDominant when some b is
     strictly greater, else Boundary when some b ties, else RowRegular.
@@ -66,10 +65,11 @@ def classify(chi: Character) -> ClassificationRecord:
     """
     ctx = chi.ctx
     p, hist = ctx.p, ctx.row_dlog_hist
-    mid, rad = row_sum_balls(ctx, [chi.k])
+    tally = np.vstack([hist, hist.sum(axis=0)])  # rows b < p, then phi(p)
+    mid, rad = character_balls(tally, [chi.k])
     abs_T = np.abs(mid[:p, 0])
     gap, slack = abs(mid[p, 0]) - abs_T, rad[:p] + rad[p]
-    phi_p = tally_sum(hist.sum(axis=0), chi)
+    phi_p = tally_sum(tally[p], chi)
     sign = np.where(gap < -slack, 1, -1)  # of |T(b)| - |phi(p)|
     for b in np.flatnonzero(np.abs(gap) <= slack):
         comp = abs_compare(tally_sum(hist[b], chi), phi_p)
@@ -102,14 +102,15 @@ def scan(p_max: int) -> list[ClassificationRecord]:
 
     Conjugate characters have conjugate T and phi values, hence identical
     magnitudes and verdicts, so only k <= (p-1)/2 is examined, and the
-    output is ordered by (p, k). One row_sum_balls product per prime
+    output is ordered by (p, k). One character_balls call per prime
     proves most characters row-regular; classify decides the rest.
     """
     out: list[ClassificationRecord] = []
     for p in filter(is_prime, range(3, p_max + 1)):  # p = 2 has only chi_0
         ctx = make_context(p)
+        hist = ctx.row_dlog_hist
         ks = np.arange(1, ctx.order // 2 + 1)
-        mid, rad = row_sum_balls(ctx, ks)
+        mid, rad = character_balls(np.vstack([hist, hist.sum(axis=0)]), ks)
         below = np.abs(mid[p]) - np.abs(mid[:p]) > (rad[:p] + rad[p])[:, None]
         for k in ks[~below.all(axis=0)]:
             rec = classify(character(ctx, int(k)))
@@ -162,9 +163,8 @@ def fundamental_scatter(p_max: int) -> list[tuple[int, int, str, float, float]]:
     """One row (p, k, parity, re, im) of phi(p)/p per nonprincipal character."""
     rows: list[tuple[int, int, str, float, float]] = []
     for p in filter(is_prime, range(3, p_max + 1)):
-        ctx = make_context(p)
-        phis = character_sums(ctx.row_dlog_hist.sum(axis=0))  # phis[k] = phi_k(p)
-        for k in range(1, ctx.order):
+        phis, _ = character_balls(make_context(p).row_dlog_hist.sum(axis=0), range(p - 1))
+        for k in range(1, p - 1):
             val = complex(phis[k])
             parity = "even" if k % 2 == 0 else "odd"
             rows.append((p, k, parity, val.real / p, val.imag / p))
@@ -201,7 +201,7 @@ class MeanReport:
 
 
 def mean_report(p: int) -> MeanReport:
-    phis = character_sums(make_context(p).row_dlog_hist.sum(axis=0))
+    phis, _ = character_balls(make_context(p).row_dlog_hist.sum(axis=0), range(p - 1))
     even, odd = phis[2::2], phis[1::2]
     mu_even = complex(even.mean()) if len(even) else 0j
     mu_odd = complex(odd.mean()) if len(odd) else 0j

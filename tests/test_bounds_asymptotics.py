@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from pascalchar import bounds_asymptotics
@@ -22,10 +24,16 @@ from pascalchar.bounds_asymptotics import (
     vartheta,
     vartheta_report,
 )
-from pascalchar.char_sequences import FundamentalTables, build_tables, phi_chi
+from pascalchar.char_sequences import FundamentalTables, build_tables, phi_chi, tally_sum
 from pascalchar.characters import CycInt, character, embed_value
 from pascalchar.core_arith import make_context
-from pascalchar.errors import LimitExceeded, NotPrime, NotRowDominant, UndefinedTheta
+from pascalchar.errors import (
+    LimitExceeded,
+    NotPrime,
+    NotRowDominant,
+    UndefinedTheta,
+    WeilViolation,
+)
 
 _37_12 = 37**12
 
@@ -58,6 +66,17 @@ def test_growth_profile_rejects_zero_phi(ctx37):
     phi_table = tables.phi_table[:-1] + (CycInt.zero(chi.order),)
     with pytest.raises(UndefinedTheta, match="is zero"):
         growth_profile(chi, FundamentalTables(chi, tables.T_table, phi_table))
+
+
+def test_psi_rejects_zero_phi(ctx37):
+    # the zero test comes before the shortcut psi(p^j) = 1
+    chi = character(ctx37, 10)
+    tables = build_tables(chi)
+    phi_table = tables.phi_table[:-1] + (CycInt.zero(chi.order),)
+    zero = FundamentalTables(chi, tables.T_table, phi_table)
+    for x in (3, 37**2):
+        with pytest.raises(UndefinedTheta, match="is zero"):
+            psi(x, chi, zero)
 
 
 def test_alpha_sequence_golden_and_invariants(contexts):
@@ -256,6 +275,27 @@ def test_bound_report_p3_equality():
     assert rep.max_abs_phi == pytest.approx(4.0, abs=1e-12)
 
 
+def test_bound_report_weil_check_reads_the_balls(monkeypatch):
+    # a violation needs the whole ball above n*sqrt(p): midpoints scaled
+    # by 10 break the bound, a radius widened past them hides any excess
+    want = bound_report(37)
+    real = bounds_asymptotics.character_balls
+
+    def scaled(tally, ks):
+        mid, rad = real(tally, ks)
+        return mid * 10, rad
+
+    def wide(tally, ks):
+        mid, rad = real(tally, ks)
+        return mid, rad * 1e30
+
+    monkeypatch.setattr(bounds_asymptotics, "character_balls", scaled)
+    with pytest.raises(WeilViolation, match="column 2 "):
+        bound_report(37)
+    monkeypatch.setattr(bounds_asymptotics, "character_balls", wide)
+    assert bound_report(37) == want
+
+
 def test_bound_report_rejects_bad_p():
     with pytest.raises(NotPrime):
         bound_report(35)
@@ -299,14 +339,33 @@ def test_vartheta_report_matches_per_character_profiles(monkeypatch, p):
     assert rep.max_re_theta == pytest.approx(max_re, rel=1e-12)
     # balls widened past 0 send every phi(p) to the exact zero test,
     # which must skip none of these nonzero values
-    real = bounds_asymptotics.row_sum_balls
+    real = bounds_asymptotics.character_balls
 
-    def wide_balls(ctx, ks):
-        mid, rad = real(ctx, ks)
+    def wide_balls(tally, ks):
+        mid, rad = real(tally, ks)
         return mid, rad * 1e30
 
-    monkeypatch.setattr(bounds_asymptotics, "row_sum_balls", wide_balls)
-    assert vartheta_report(p, 0.05) == rep
+    monkeypatch.setattr(bounds_asymptotics, "character_balls", wide_balls)
+    wide = vartheta_report(p, 0.05)
+    assert wide.max_re_theta_rad == (math.inf if p > 2 else 0.0)
+    assert dataclasses.replace(wide, max_re_theta_rad=rep.max_re_theta_rad) == rep
+
+
+def test_vartheta_report_radius_encloses_exact_max_re_theta():
+    # the midpoint max Re theta at p = 997 is off by about 1e-15; the true
+    # max |phi_k(p)| is among the k whose midpoints lie within two radii
+    # of the top one, evaluated here at 100 bits
+    p = 997
+    rep = vartheta_report(p, 0.05)
+    ctx = make_context(p)
+    totals = ctx.row_dlog_hist.sum(axis=0)
+    mid, rad = bounds_asymptotics.character_balls(totals, range(p - 1))
+    near = np.flatnonzero(np.abs(mid) >= np.abs(mid[1:]).max() - 2 * rad)
+    with mpmath.workprec(100):
+        top = max(abs(tally_sum(totals, character(ctx, int(k))).embed_mpc(100)) for k in near if k)
+        exact = mpmath.log(top) / mpmath.log(p)
+        assert 0 < rep.max_re_theta_rad < 1e-9
+        assert abs(rep.max_re_theta - exact) <= rep.max_re_theta_rad
 
 
 def test_bounded_growth_check_fields(ctx37, contexts):

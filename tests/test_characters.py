@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -24,10 +26,11 @@ from pascalchar.characters import (
     _support_stride,
     abs_compare,
     character,
-    character_sums,
+    character_balls,
     cyclotomic_coeffs,
     embed_value,
 )
+from pascalchar.char_sequences import build_tables
 from pascalchar.core_arith import is_prime, make_context
 from pascalchar.errors import IndexOutOfRange, OrderMismatch
 
@@ -429,10 +432,94 @@ def _direct_character_sums(hist):
     return np.stack([hist @ roots[(k * base) % n] for k in range(n)], axis=-1)
 
 
+def _domain_tally(ctx):
+    """The dlog tallies of rows 0..p-1, then of their union (phi(p))."""
+    hist = ctx.row_dlog_hist
+    return np.vstack([hist, hist.sum(axis=0)])
+
+
 @pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
 def test_character_sums_match_direct_sum(p):
-    hist = make_context(p).row_dlog_hist
-    for h in (hist, hist.sum(axis=0)):
-        got = character_sums(h)
-        assert got.shape == h.shape
-        assert np.allclose(got, _direct_character_sums(h), rtol=0, atol=1e-9)
+    tally = _domain_tally(make_context(p))
+    ks = range(p - 1)
+    for t in (tally, tally[p]):
+        mid, rad = character_balls(t, ks)
+        want = _direct_character_sums(t)
+        assert mid.shape == t.shape and np.shape(rad) == t.shape[:-1]
+        assert np.allclose(mid, want, rtol=0, atol=1e-9)
+        # both sums carry the proven error, so they are within two radii
+        assert (np.abs(mid - want) <= 2 * np.expand_dims(rad, -1)).all()
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_point_roots(n):
+    """2^80 times (Re, Im) of every zeta_n^j, rounded from 100-bit mpmath."""
+    with mpmath.workprec(100):
+        zeta = [mpmath.expjpi(mpmath.mpf(2 * j) / n) for j in range(n)]
+        re = [int(mpmath.nint(mpmath.ldexp(z.real, 80))) for z in zeta]
+        im = [int(mpmath.nint(mpmath.ldexp(z.imag, 80))) for z in zeta]
+    return re, im
+
+
+def _exact_product(rows, fixed, idx):
+    """rows @ fixed[idx] over the integers, exactly, by int64 limbs.
+
+    fixed + 2^81 is split into limbs narrow enough that no int64 sum of
+    products overflows; each limb product is then exact."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[-1]
+    width = 62 - int(np.abs(rows).max(initial=1)).bit_length() - n.bit_length()
+    offset = [z + (1 << 81) for z in fixed]
+    out = -(rows.sum(axis=-1).astype(object)[..., None] << 81)
+    for shift in range(0, 82, width):
+        limb = np.array([(z >> shift) & ((1 << width) - 1) for z in offset], dtype=np.int64)
+        out = out + ((rows @ limb[idx]).astype(object) << shift)
+    return out
+
+
+def _ball_errors(rows, ks, mid):
+    """|mid - exact| of sum_e rows[..., e] * zeta^(k*e) for each k in ks,
+    against the exact sums over _fixed_point_roots, which are within
+    (l1 + 1) * 2^-80 of the true sums."""
+    n = rows.shape[-1]
+    idx = np.outer(np.arange(n), ks) % n
+    re, im = _fixed_point_roots(n)
+
+    def err(part, fixed):
+        scaled = np.array([int(math.ldexp(v, 80)) for v in part.ravel()], dtype=object)
+        return (scaled.reshape(part.shape) - _exact_product(rows, fixed, idx)).astype(float)
+
+    return np.ldexp(np.hypot(err(mid.real, re), err(mid.imag, im)), -80)
+
+
+def test_character_balls_enclose_exact_sums():
+    # each midpoint lies within its radius of the exact sum: every T_k(b)
+    # and phi_k(p) of every prime p <= 61; at p = 997 seeded (b, k) and
+    # every Weil column tally at every k; and signed coefficient vectors
+    # at k = 1, whose radius needs the mass of the absolute values
+    for p in filter(is_prime, range(2, 62)):
+        tally, ks = _domain_tally(make_context(p)), np.arange(p - 1)
+        mid, rad = character_balls(tally, ks)
+        assert (_ball_errors(tally, ks, mid) <= rad[:, None]).all(), p
+    p = 997
+    ctx = make_context(p)
+    tally = _domain_tally(ctx)
+    rng = random.Random(5)
+    for _ in range(40):
+        rows, k = tally[[rng.randrange(p), p]], rng.randrange(p - 1)
+        mid, rad = character_balls(rows, [k])
+        assert (_ball_errors(rows, [k], mid)[:, 0] <= rad).all(), (rows, k)
+    cols = np.array(
+        [np.bincount([ctx.dlog[math.comb(m, n) % p] for m in range(n, p)], minlength=p - 1)
+         for n in range(2, math.isqrt(p) + 1)]
+    )
+    mid, rad = character_balls(cols, range(p - 1))
+    assert (_ball_errors(cols, range(p - 1), mid) <= rad[:, None]).all()
+    chi = character(make_context(37), 10)
+    tables = build_tables(chi)
+    norms = [x * x.conjugate() for x in tables.T_table + tables.phi_table]
+    signed = [(a - b).coeffs for a, b in zip(norms, norms[1:])]
+    signed += [[rng.randrange(-(1 << 30), 1 << 30) for _ in range(36)] for _ in range(20)]
+    signed = np.array(signed)
+    mid, rad = character_balls(signed, [1])
+    assert (_ball_errors(signed, [1], mid)[:, 0] <= rad).all()

@@ -3,17 +3,13 @@
 from __future__ import annotations
 
 import csv
-import functools
 import io
-import math
-import random
 
-import mpmath
 import numpy as np
 import pytest
 
 from pascalchar import classification
-from pascalchar.characters import character, row_sum_balls
+from pascalchar.characters import character, character_balls
 from pascalchar.classification import (
     ClassificationRecord,
     Verdict,
@@ -82,7 +78,8 @@ def test_scan_classifies_only_flagged_characters(monkeypatch):
     flagged = []
     for p in filter(is_prime, range(3, 121)):
         ks = range(1, (p - 1) // 2 + 1)
-        mid, rad = row_sum_balls(make_context(p), ks)
+        hist = make_context(p).row_dlog_hist
+        mid, rad = character_balls(np.vstack([hist, hist.sum(axis=0)]), ks)
         for i, k in enumerate(ks):
             if (np.abs(mid[:p, i]) + rad[:p] + rad[p] >= np.abs(mid[p, i])).any():
                 flagged.append((p, k))
@@ -104,17 +101,17 @@ def test_overlapping_rows_go_to_the_exact_comparator(monkeypatch, p, k):
     # all p rows, and must reach the verdict the balls reach
     chi = character(make_context(p), k)
     want = classify(chi)
-    real_balls, real_compare, compared = row_sum_balls, classification.abs_compare, []
+    real_balls, real_compare, compared = character_balls, classification.abs_compare, []
 
-    def wide_balls(ctx, ks):
-        mid, rad = real_balls(ctx, ks)
+    def wide_balls(tally, ks):
+        mid, rad = real_balls(tally, ks)
         return mid, rad * 1e30
 
     def counting(a, b):
         compared.append(a)
         return real_compare(a, b)
 
-    monkeypatch.setattr(classification, "row_sum_balls", wide_balls)
+    monkeypatch.setattr(classification, "character_balls", wide_balls)
     monkeypatch.setattr(classification, "abs_compare", counting)
     got = classify(chi)
     assert len(compared) == p
@@ -190,58 +187,3 @@ def test_mean_report_p3_has_no_even_characters():
     assert rep.mu_even == 0
     assert rep.ratio_even == 0
     assert rep.ratio_odd == pytest.approx(4 / 3, rel=1e-12)
-
-
-@functools.lru_cache(maxsize=None)
-def _fixed_point_roots(n):
-    """2^80 times (Re, Im) of every zeta_n^j, rounded from 100-bit mpmath."""
-    with mpmath.workprec(100):
-        zeta = [mpmath.expjpi(mpmath.mpf(2 * j) / n) for j in range(n)]
-        re = np.array([int(mpmath.nint(mpmath.ldexp(z.real, 80))) for z in zeta], dtype=object)
-        im = np.array([int(mpmath.nint(mpmath.ldexp(z.imag, 80))) for z in zeta], dtype=object)
-    return re, im
-
-
-def _fixed_point_sums(ctx, rows, ks):
-    """2^80 times (Re, Im) of sum_e rows[:, e] * zeta^(k*e) for each k in
-    ks, as exact integers over _fixed_point_roots, so each is within
-    (l1 + 1) * 2^-80 of the true sum."""
-    n = max(ctx.order, 1)
-    re, im = _fixed_point_roots(n)
-    idx = np.outer(np.arange(n), ks) % n
-    rows = rows.astype(object)
-    return rows @ re[idx], rows @ im[idx]
-
-
-def _ball_errors(ctx, rows, ks, mid):
-    """|mid - exact| of the row sums, against _fixed_point_sums."""
-    exact_re, exact_im = _fixed_point_sums(ctx, rows, ks)
-
-    def scaled(x):
-        return np.array([int(math.ldexp(v, 80)) for v in x.ravel()], dtype=object).reshape(x.shape)
-
-    d_re = (scaled(mid.real) - exact_re).astype(float)
-    d_im = (scaled(mid.imag) - exact_im).astype(float)
-    return np.ldexp(np.hypot(d_re, d_im), -80)
-
-
-def test_row_sum_balls_enclose_exact_sums():
-    # every T_k(b) and phi_k(p) of every prime p <= 61, then seeded (b, k)
-    # at p = 997: each midpoint lies within its radius of the exact sum
-    for p in filter(is_prime, range(2, 62)):
-        ctx = make_context(p)
-        hist = ctx.row_dlog_hist
-        ks = np.arange(max(ctx.order, 1))
-        mid, rad = row_sum_balls(ctx, ks)
-        err = _ball_errors(ctx, np.vstack([hist, hist.sum(axis=0)]), ks, mid)
-        assert (err <= rad[:, None]).all(), p
-    p = 997
-    ctx = make_context(p)
-    hist = ctx.row_dlog_hist
-    rng = random.Random(5)
-    for _ in range(40):
-        b, k = rng.randrange(p), rng.randrange(ctx.order)
-        mid, rad = row_sum_balls(ctx, [k])
-        rows = np.vstack([hist[b], hist.sum(axis=0)])
-        err = _ball_errors(ctx, rows, [k], mid[[b, p]])
-        assert (err[:, 0] <= rad[[b, p]]).all(), (b, k)
