@@ -31,6 +31,7 @@ from .char_sequences import (
     T_chi,
     a_row,
     build_tables,
+    phi_and_T,
     phi_chi,
 )
 from .characters import (
@@ -90,7 +91,7 @@ __all__ = [
     "vartheta_report",
     "A_count_bruteforce", "A_count_formula", "A_count_formula_all",
     "CountVector", "FundamentalTables", "T_chi", "a_row", "build_tables",
-    "phi_chi",
+    "phi_and_T", "phi_chi",
     "Character", "Comparison", "CycInt", "UnityOrZero",
     "abs_compare", "character", "conjugate", "cyclotomic_coeffs", "group",
     "ClassificationRecord", "MeanReport", "Verdict", "classify",

@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .char_sequences import FundamentalTables, build_tables, phi_chi, tally_sum
+from .char_sequences import FundamentalTables, build_tables, phi_and_T, tally_sum
 from .characters import (
     Character,
     CycInt,
@@ -258,7 +258,7 @@ def psi(
     # phi(m) and m^theta both leave double range long before their
     # quotient does, and a double theta loses digits in proportion to
     # log m, so take theta, divide in mpmath and round once at the end
-    val, _ = embed_value(phi_chi(m, tables))
+    val, _ = embed_value(phi_and_T(m, tables)[0])
     with mpmath.workprec(128):
         theta = mpmath.log(phi_ball[0]) / mpmath.log(p)
         return complex(val / mpmath.exp(theta * mpmath.log(m)))
@@ -452,7 +452,7 @@ def convergence_ratio(
         if n < 1:
             continue
         # the dlog histogram of rows 0..n-1 holds both A_n(r) and phi_0(n)
-        hist = phi_chi(n, ctx.group_ring_tables).coeffs
+        hist = phi_and_T(n, ctx.group_ring_tables)[0].coeffs
         a, phi0 = hist[e], sum(hist)
         ratio = float(Fraction(a * (p - 1), phi0))
         out.append((k, n, a, phi0, ratio))

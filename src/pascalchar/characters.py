@@ -135,15 +135,22 @@ def _cyclic_convolve(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[in
 
 
 # CycInt products take the Kronecker path when each operand has at least
-# this many nonzero coefficients and none is wider than this many bits.
-# Measured on a 2-vCPU Xeon under CPython 3.11: with fewer terms, packing
-# every slot costs more than the schoolbook loop, which skips zeros, spends
-# (orders below 16, the unit, table rows of small digits); a product of a
-# wide operand with a narrow one (the digit recursions at hundreds of
-# digits) pads the narrow one to the wide slot, and the schoolbook loop
-# wins from 400-800 bits on.
+# _KRONECKER_MIN_TERMS nonzero coefficients and the wider operand's
+# coefficients are at most _KRONECKER_FREE_BITS bits, or at most
+# _KRONECKER_MAX_RATIO times as wide as the narrower operand's. With fewer
+# terms, packing every slot costs more than the schoolbook loop, which
+# skips zeros, spends (orders below 16, the unit, table rows of small
+# digits). Kronecker pads the narrow operand to the wide slot, so a wide
+# operand times a narrow one (the digit recursion inside a leaf, a
+# product tree's top node over a short block) goes to the schoolbook
+# loop, which wins there from 400-800 bits on; balanced wide products
+# (the tree's other nodes, a * conj(a)) take Kronecker. Measured on a
+# 2-vCPU Xeon under CPython 3.11 at 500 to 6000 bits: with 18 to 25
+# nonzero slots Kronecker wins up to a width ratio of 2, with 48 up to
+# 4-6, with 96 up to 8-12.
 _KRONECKER_MIN_TERMS = 16
-_KRONECKER_MAX_BITS = 384
+_KRONECKER_FREE_BITS = 384
+_KRONECKER_MAX_RATIO = 2
 
 
 def _coeff_bits(c: tuple[int, ...]) -> int:
@@ -217,11 +224,10 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]
     if n < _KRONECKER_MIN_TERMS:  # no operand can qualify; skip the counting
         return _cyclic_convolve(a, b, n)
     zeros_a, zeros_b = a.count(0), b.count(0)
-    if (
-        n - max(zeros_a, zeros_b) >= _KRONECKER_MIN_TERMS
-        and max(_coeff_bits(a), _coeff_bits(b)) <= _KRONECKER_MAX_BITS
-    ):
-        return _kronecker_convolve(a, b, n, _support_stride(a, b, n))
+    if n - max(zeros_a, zeros_b) >= _KRONECKER_MIN_TERMS:
+        narrow, wide = sorted((_coeff_bits(a), _coeff_bits(b)))
+        if wide <= max(_KRONECKER_FREE_BITS, _KRONECKER_MAX_RATIO * narrow):
+            return _kronecker_convolve(a, b, n, _support_stride(a, b, n))
     # the schoolbook loop skips the zeros of its outer operand
     if zeros_a < zeros_b:
         a, b = b, a
@@ -270,6 +276,37 @@ class UnityOrZero:
 
 
 _ROOT_CACHE: dict[int, np.ndarray] = {}
+
+
+def _mp_roots(order: int, bits: int) -> list:
+    """zeta^j for 0 <= j < order, each within 22 * 2^-bits of the true
+    root (the bound _ball_radius assumes), from one expjpi and order - 1
+    products at bits + g bits of precision, g = order.bit_length() + 1.
+
+    Write u' = 2^-(bits + g). The computed zeta' is within 22u' of zeta,
+    as is any root _ball_radius counts. A complex product rounds within
+    3u' of the exact one in modulus: mpmath rounds each of its two parts
+    once from exact real products (sqrt(2)u'), and 3u' also covers
+    rounding each real product too (sqrt(5)u', Brent, Percival and
+    Zimmermann 2007). With w_0 = 1 and w_j = fl(w_(j-1) * zeta'), every
+    |w_j| <= r^j for r = (1 + 22u')(1 + 3u'), and E_j = |w_j - zeta^j|
+    obeys
+
+        E_j <= |w_(j-1)| |zeta' - zeta| + E_(j-1) + 3u' |w_(j-1) zeta'|
+            <= 22u' r^(j-1) + E_(j-1) + 3u' r^j,
+
+    so E_j <= 25 j u' r^j. As j < order < 2^(g-1), j u' < 2^-(bits + 1),
+    and r^j <= exp(26 j u') < 1.001 for bits >= 14, so
+    E_j < 12.6 * 2^-bits, inside the 22 * 2^-bits budget. Without the g
+    guard bits the same bound reads 25 (order - 1) 2^-bits, past the
+    budget for every order above 1.
+    """
+    with mpmath.workprec(bits + order.bit_length() + 1):
+        zeta = mpmath.expjpi(mpmath.mpf(2) / order)
+        roots = [mpmath.mpc(1)]
+        for _ in range(order - 1):
+            roots.append(roots[-1] * zeta)
+    return roots
 
 
 def _roots(order: int) -> np.ndarray:
@@ -374,12 +411,14 @@ class CycInt:
         return complex(sum(float(c) * roots[j] for j, c in enumerate(self.coeffs) if c))
 
     def embed_mpc(self, bits: int) -> mpmath.mpc:
+        """Numeric value under zeta -> exp(2 pi i/order) at `bits` of
+        precision, summing c_j * zeta^j over roots from _mp_roots."""
+        roots = _mp_roots(self.order, bits)
         with mpmath.workprec(bits):
             total = mpmath.mpc(0)
-            n = self.order
-            for j, c in enumerate(self.coeffs):
+            for c, root in zip(self.coeffs, roots):
                 if c:
-                    total += c * mpmath.expjpi(mpmath.mpf(2 * j) / n)
+                    total += c * root
             return total
 
 

@@ -29,7 +29,7 @@ from .bounds_asymptotics import (
     write_bound_csv,
     write_convergence_csv,
 )
-from .char_sequences import A_count_bruteforce, A_count_formula, T_chi, build_tables, phi_chi
+from .char_sequences import A_count_bruteforce, A_count_formula, build_tables, phi_and_T
 from .characters import CycInt, character, embed_value
 from .classification import (
     format_scan_table,
@@ -145,9 +145,7 @@ def _cmd_phi(args: argparse.Namespace, argv: list[str]) -> int:
     n_text = args.n.strip()
     ctx = make_context(args.p)
     chi = character(ctx, args.k)
-    tables = build_tables(chi)
-    t_val = T_chi(n, tables)
-    phi_val = phi_chi(n, tables)
+    phi_val, t_val = phi_and_T(n, build_tables(chi))
     print(f"T({n_text}) = {_sparse_str(t_val)}")
     print(f"     ~ {_value_str(t_val)}")
     print(f"phi({n_text}) = {_sparse_str(phi_val)}")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pascalchar.char_sequences import (
+    _LEAF_DIGITS,
     A_count_bruteforce,
     A_count_formula,
     A_count_formula_all,
@@ -18,6 +19,7 @@ from pascalchar.char_sequences import (
     T_chi,
     a_row,
     build_tables,
+    phi_and_T,
     phi_chi,
 )
 from pascalchar.characters import CycInt, character, group
@@ -109,6 +111,26 @@ def test_phi_product_and_shift_identities(p, data):
     lhs2 = phi_chi(m * p**j + n, tables)
     rhs2 = phi_chi(m * p**j, tables) + T_chi(m, tables) * phi_chi(n, tables)
     assert lhs2.equals(rhs2)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([2, 3, 5, 37, 97]), st.data())
+def test_product_tree_equals_sequential_recursion(p, data):
+    ctx = make_context(p)
+    k = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=max(p - 2, 0))))
+    tables = ctx.group_ring_tables if k is None else build_tables(character(ctx, k))
+    # one leaf, either side of the leaf size, and a short top block
+    j = data.draw(st.sampled_from([1, _LEAF_DIGITS - 1, _LEAF_DIGITS, _LEAF_DIGITS + 1, 2 * _LEAF_DIGITS + 1]))
+    n = data.draw(st.one_of(
+        st.just(0),
+        st.integers(min_value=0, max_value=p - 1),
+        st.sampled_from([p**j, p**j - 1]),
+        st.integers(min_value=p ** (j - 1), max_value=p**j - 1),
+        st.integers(min_value=1, max_value=300).flatmap(
+            lambda d: st.integers(min_value=10 ** (d - 1), max_value=10**d - 1)
+        ),
+    ))
+    assert phi_and_T(n, tables) == (phi_chi(n, tables), T_chi(n, tables))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pascalchar import characters
 from pascalchar.characters import (
-    _KRONECKER_MAX_BITS,
+    _KRONECKER_FREE_BITS,
+    _KRONECKER_MAX_RATIO,
     Comparison,
     CycInt,
     UnityOrZero,
@@ -23,6 +25,7 @@ from pascalchar.characters import (
     _embed_ball,
     _kronecker_convolve,
     _mass_bits,
+    _mp_roots,
     _support_stride,
     abs_compare,
     character,
@@ -118,21 +121,35 @@ def _strided_coeffs(draw, n, bits, signed):
     return tuple(out)
 
 
-# both sides of the selection threshold, and the edges of a byte-rounded slot
-_PRODUCT_BITS = [0, 1, 7, 8, 63, 64, _KRONECKER_MAX_BITS, _KRONECKER_MAX_BITS + 1, 1000]
+# the edges of a byte-rounded slot and of the free width
+_PRODUCT_BITS = [0, 1, 7, 8, 63, 64, _KRONECKER_FREE_BITS, _KRONECKER_FREE_BITS + 1, 1000]
+# the product tree's operands: balanced nodes, a wide node times a narrow
+# leaf, and both sides of the width ratio that the selection allows
+_TREE_PRODUCT_BITS = [
+    (2000, 2000),
+    (6000, 6000),
+    (6000, 40),
+    (6000, 6000 // _KRONECKER_MAX_RATIO),
+    (6000, 6000 // _KRONECKER_MAX_RATIO - 1),
+]
 
 
 @given(st.data())
 def test_kronecker_product_equals_schoolbook(data):
     n = data.draw(st.sampled_from([1, 2, 36, 96, 228]))
     signed = data.draw(st.booleans())
-    a = _strided_coeffs(data.draw, n, data.draw(st.sampled_from(_PRODUCT_BITS)), signed)
-    b = _strided_coeffs(data.draw, n, data.draw(st.sampled_from(_PRODUCT_BITS)), signed)
+    bits = data.draw(st.one_of(
+        st.tuples(st.sampled_from(_PRODUCT_BITS), st.sampled_from(_PRODUCT_BITS)),
+        st.sampled_from(_TREE_PRODUCT_BITS + [(b, a) for a, b in _TREE_PRODUCT_BITS]),
+    ))
+    a, b = (_strided_coeffs(data.draw, n, w, signed) for w in bits)
     stride = _support_stride(a, b, n)
     assert all(c == 0 for i, c in enumerate(a + b) if i % n % stride)
     # any common stride will do, the gcd being only the sparsest
     g = data.draw(st.sampled_from([d for d in range(1, stride + 1) if stride % d == 0]))
-    assert _kronecker_convolve(a, b, n, g) == _cyclic_convolve(a, b, n)
+    want = _cyclic_convolve(a, b, n)
+    assert _kronecker_convolve(a, b, n, g) == want
+    assert _convolve(a, b, n) == want
 
 
 @pytest.mark.parametrize("n", [36, 228])
@@ -149,12 +166,45 @@ def test_kronecker_product_at_full_slot_magnitude(n):
 
 
 @pytest.mark.parametrize("n", [4, 36])
-@pytest.mark.parametrize("bits", [1, _KRONECKER_MAX_BITS, _KRONECKER_MAX_BITS + 1])
+@pytest.mark.parametrize("bits", [1, _KRONECKER_FREE_BITS, _KRONECKER_FREE_BITS + 1])
 def test_product_matches_schoolbook_across_selection(n, bits):
     a = tuple((-1) ** i << bits if i % 3 else 0 for i in range(n))
     b = tuple(-(1 << bits) + i for i in range(n))
     assert _convolve(a, b, n) == _cyclic_convolve(a, b, n)
     assert (CycInt(n, a) * CycInt(n, b)).coeffs == _cyclic_convolve(a, b, n)
+
+
+@pytest.mark.parametrize(
+    "bits_a, bits_b, kronecker",
+    [
+        (8, 8, True),
+        (_KRONECKER_FREE_BITS, 8, True),
+        (_KRONECKER_FREE_BITS + 1, 8, False),
+        (2000, 2000, True),
+        (6000, 6000 // _KRONECKER_MAX_RATIO, True),
+        (6000, 6000 // _KRONECKER_MAX_RATIO - 1, False),
+        (6000, 40, False),
+    ],
+)
+@pytest.mark.parametrize("n", [4, 36])
+def test_product_path_follows_width_ratio(monkeypatch, n, bits_a, bits_b, kronecker):
+    # coefficients exactly bits_a and bits_b bits wide, the first operand
+    # zero off the residues 1, 2 mod 3
+    a = tuple((-1) ** i * ((1 << bits_a) - 1 - i) if i % 3 else 0 for i in range(n))
+    b = tuple((1 << bits_b) - 1 - i for i in range(n))
+    calls = []
+    kronecker_convolve = characters._kronecker_convolve
+
+    def spy(*args):
+        calls.append(args)
+        return kronecker_convolve(*args)
+
+    monkeypatch.setattr(characters, "_kronecker_convolve", spy)
+    want = _cyclic_convolve(a, b, n)
+    assert _convolve(a, b, n) == want
+    assert _convolve(b, a, n) == want
+    # below 16 nonzero terms no product takes Kronecker
+    assert bool(calls) == (kronecker and n >= 16)
 
 
 @given(small_cyc, st.integers(min_value=-80, max_value=80))
@@ -366,7 +416,7 @@ def _planted(y, power, shift):
 
 @st.composite
 def _planted_cancellation(draw):
-    n = draw(st.sampled_from([1, 2, 36, 96, 228]))
+    n = draw(st.sampled_from([1, 2, 36, 96, 100, 228]))
     bits = draw(st.sampled_from([1, 8, 40, 100, 200]))
     terms = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(-(1 << bits), 1 << bits)),
@@ -390,9 +440,21 @@ def _reference_embed(x, bits):
 _BEYOND_DOUBLES = _planted(CycInt(36, (3 << 200, -(5 << 190)) + (0,) * 33 + (7 << 199,)), 6, 1)
 
 
+def _wide(n):
+    """A planted cancellation at order n with coefficients of about 6200
+    bits, the width of a 1000-digit phi at p = 97 and 101."""
+    rng = random.Random(n)
+    y = CycInt.zero(n)
+    for _ in range(6):
+        y = y + CycInt.from_exponent(n, rng.randrange(n), rng.randrange(-(1 << 775), 1 << 775))
+    return _planted(y, 8, 1)
+
+
 @settings(max_examples=100)
 @given(_planted_cancellation())
 @example(_BEYOND_DOUBLES)
+@example(_wide(96))
+@example(_wide(100))
 def test_embed_ball_encloses_reference(x):
     l1 = x.coeff_l1()
     rungs = (53, 128, 256, _mass_bits(l1))
@@ -410,6 +472,17 @@ def test_embed_ball_encloses_reference(x):
             assert abs(mpmath.mpc(mid) - want) <= rad
         assert abs(mpmath.mpc(value) - want) <= mpmath.ldexp(abs(want), -53)
         assert value_rad <= mpmath.ldexp(abs(value), -53)
+
+
+@pytest.mark.parametrize("bits", [128, 256, 6300])
+@pytest.mark.parametrize("order", [1, 2, 36, 96, 100, 228])
+def test_powered_roots_within_the_root_budget(order, bits):
+    # every root within the 22 * 2^-bits that _ball_radius assumes of a root
+    roots = _mp_roots(order, bits)
+    assert len(roots) == order
+    with mpmath.workprec(bits + 64):
+        for j, root in enumerate(roots):
+            assert abs(root - mpmath.expjpi(mpmath.mpf(2 * j) / order)) <= mpmath.ldexp(22, -bits), j
 
 
 def test_embed_mpc_matches_embed():
