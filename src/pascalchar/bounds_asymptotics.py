@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .char_sequences import FundamentalTables, build_tables, phi_and_T, tally_sum
+from .char_sequences import FundamentalTables, build_tables, phi_and_T, table_layout, tally_sum
 from .characters import (
     Character,
     CycInt,
@@ -63,15 +63,21 @@ class GrowthProfile:
     max_abs_T: float
 
 
-def growth_profile(chi: Character, tables: FundamentalTables | None = None) -> GrowthProfile:
-    """theta, rho and q from 53-bit balls of the tables; embed_value where phi(p)'s touches 0."""
-    if tables is None:
-        tables = build_tables(chi)
+def _tally_balls(chi: Character) -> tuple[np.ndarray, np.ndarray]:
+    """53-bit balls (mid, rad) of T(0..p-1) and then of phi(0..p), from
+    one character_balls call over the dlog tallies in table_layout."""
+    mid, rad = character_balls(table_layout(chi.ctx.row_dlog_hist), [chi.k])
+    return mid[:, 0], rad
+
+
+def growth_profile(chi: Character) -> GrowthProfile:
+    """theta, rho and q from 53-bit tally balls; exact phi(p) only where its ball touches 0."""
     p = chi.ctx.p
-    mid, rad = _table_balls(tables.T_table + (tables.phi_p,))
-    val = complex(mid[-1])
-    if abs(val) <= rad[-1]:
-        val = complex(embed_value(tables.phi_p)[0])  # (0j, 0.0) only for an exact zero
+    mid, rad = _tally_balls(chi)
+    val = complex(mid[2 * p])
+    if abs(val) <= rad[2 * p]:
+        phi_p = tally_sum(chi.ctx.row_dlog_hist.sum(axis=0), chi)
+        val = complex(embed_value(phi_p)[0])  # (0j, 0.0) only for an exact zero
         if val == 0:
             raise UndefinedTheta(f"phi(p) for p={p}, k={chi.k} is zero")
     lp = math.log(p)
@@ -127,13 +133,6 @@ def _ratio_sweep_max(lo: int, hi: int, sigma: float, p: int, emb: np.ndarray) ->
     return best, best_n
 
 
-def _table_balls(values: tuple[CycInt, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """53-bit balls (mid, rad) of table values, from one character_balls
-    call at k = 1 over their own coefficient vectors."""
-    mid, rad = character_balls([x.coeffs for x in values], [1])
-    return mid[:, 0], rad
-
-
 @dataclass(frozen=True)
 class AlphaSequence:
     """Band maxima alpha_k = max |phi(n)/n^theta| over p^{k-1} < n <= p^k."""
@@ -144,21 +143,15 @@ class AlphaSequence:
     alphas: tuple[float, ...]
 
 
-def alpha_sequence(
-    chi: Character,
-    k_max: int,
-    limit: int = ALPHA_WORK_LIMIT,
-    tables: FundamentalTables | None = None,
-) -> AlphaSequence:
+def alpha_sequence(chi: Character, k_max: int, limit: int = ALPHA_WORK_LIMIT) -> AlphaSequence:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     p = chi.ctx.p
-    if p**k_max > limit:
-        raise LimitExceeded(f"p^k_max = {p**k_max} exceeds sweep limit {limit}")
-    if tables is None:
-        tables = build_tables(chi)
-    sigma = growth_profile(chi, tables).theta.real
-    emb, _ = _table_balls(tables.T_table + tables.phi_table)
+    # p^k_max >= 2^k_max > limit from limit's bit length on: no huge power is formed
+    if k_max >= limit.bit_length() or p**k_max > limit:
+        raise LimitExceeded(f"k_max = {k_max}: p^k_max = {p}^{k_max} exceeds sweep limit {limit}")
+    sigma = growth_profile(chi).theta.real
+    emb, _ = _tally_balls(chi)
     alphas = []
     for k in range(1, k_max + 1):
         lo = p ** (k - 1) + 1
@@ -168,19 +161,12 @@ def alpha_sequence(
 
 
 def sup_ratio(
-    chi: Character,
-    exponent: float,
-    n_max: int,
-    limit: int = ALPHA_WORK_LIMIT,
-    tables: FundamentalTables | None = None,
+    chi: Character, exponent: float, n_max: int, limit: int = ALPHA_WORK_LIMIT
 ) -> tuple[float, int]:
     """Max of |phi(n)|/n^exponent over 1 < n <= n_max, with its argmax."""
     if n_max > limit:
         raise LimitExceeded(f"n_max = {n_max} exceeds sweep limit {limit}")
-    if tables is None:
-        tables = build_tables(chi)
-    emb, _ = _table_balls(tables.T_table + tables.phi_table)
-    return _ratio_sweep_max(2, n_max, exponent, chi.ctx.p, emb)
+    return _ratio_sweep_max(2, n_max, exponent, chi.ctx.p, _tally_balls(chi)[0])
 
 
 @dataclass(frozen=True)
@@ -204,11 +190,10 @@ class BoundedGrowthReport:
 def bounded_growth_check(
     chi: Character, eps: float = 0.05, n_max: int = 10**6
 ) -> BoundedGrowthReport:
-    tables = build_tables(chi)
-    profile = growth_profile(chi, tables)
+    profile = growth_profile(chi)
     exponent = profile.rho + eps
     hypothesis_ok = profile.abs_phi <= chi.ctx.p**exponent
-    sup, arg = sup_ratio(chi, exponent, n_max, limit=max(n_max, ALPHA_WORK_LIMIT), tables=tables)
+    sup, arg = sup_ratio(chi, exponent, n_max, limit=max(n_max, ALPHA_WORK_LIMIT))
     return BoundedGrowthReport(
         p=chi.ctx.p,
         k=chi.k,
@@ -283,7 +268,7 @@ def row_dominant_witness(chi: Character, k_max: int) -> list[tuple[int, int, flo
         )
     b = record.witness_b
     tables = build_tables(chi)
-    sigma = growth_profile(chi, tables).theta.real
+    sigma = growth_profile(chi).theta.real
     p = chi.ctx.p
     phi_p, phi_b, t_b = tables.phi_p, tables.phi_table[b], tables.T_table[b]
     rows: list[tuple[int, int, float]] = []
@@ -346,7 +331,7 @@ def bound_report(p: int) -> BoundReport:
     cols = np.arange(2, s + 1)
     tally = np.zeros((len(cols), ctx.order), dtype=np.int64)  # column n in row n - 2
     for n in cols:
-        np.add.at(tally[n - 2], [ctx.dlog[ctx.fd_rows[m][n]] for m in range(n, p)], 1)
+        tally[n - 2] = np.bincount(np.asarray(ctx.dlog)[ctx.domain[n:, n]], minlength=ctx.order)
     mid, rad = character_balls(tally, range(1, ctx.order))
     over = np.argwhere(np.abs(mid) - rad[:, None] > cols[:, None] * rp)
     if len(over):

@@ -67,11 +67,17 @@ def tally_sum(tally: np.ndarray, chi: Character) -> CycInt:
     return CycInt(chi.order, tuple(pushforward(tally, chi).tolist()))
 
 
+def table_layout(rows: np.ndarray) -> np.ndarray:
+    """rows[b] for b < p, then their prefix sums over b < m for m <= p: over
+    the domain rows' dlog tallies, T(b) and then phi(m), the tables' layout."""
+    return np.vstack([rows, np.zeros_like(rows[:1]), np.cumsum(rows, axis=0)])
+
+
 def build_tables(chi: Character) -> FundamentalTables:
-    coeff = pushforward(chi.ctx.row_dlog_hist, chi)
-    prefix = np.cumsum(np.vstack([np.zeros_like(coeff[:1]), coeff]), axis=0)
-    T_table = tuple(CycInt(chi.order, tuple(row)) for row in coeff.tolist())
-    phi_table = tuple(CycInt(chi.order, tuple(row)) for row in prefix.tolist())
+    p = chi.ctx.p
+    coeff = table_layout(pushforward(chi.ctx.row_dlog_hist, chi)).tolist()
+    T_table = tuple(CycInt(chi.order, tuple(row)) for row in coeff[:p])
+    phi_table = tuple(CycInt(chi.order, tuple(row)) for row in coeff[p:])
     return FundamentalTables(chi, T_table, phi_table)
 
 
@@ -135,11 +141,14 @@ def phi_and_T(n: int, tables: FundamentalTables) -> tuple[CycInt, CycInt]:
 
 
 def T_chi(n: int, tables: FundamentalTables) -> CycInt:
-    """Row sum at n: the product of T over the base-p digits of n, read
-    one digit at a time (the sequential oracle for phi_and_T)."""
+    """Row sum at n: the plain product of T over the base-p digits of n
+    (the oracle for phi_and_T's T, independent of its recursion)."""
     if n < 0:
         raise IndexOutOfRange(f"n={n} negative")
-    return _leaf(to_digits(n, tables.p).digits[::-1], tables)[1]
+    out = CycInt.one(tables.chi.order)
+    for d in to_digits(n, tables.p).digits:
+        out = out * tables.T_table[d]
+    return out
 
 
 def phi_chi(n: int, tables: FundamentalTables) -> CycInt:

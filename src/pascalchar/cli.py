@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -258,11 +259,9 @@ def _cmd_bounds(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_alpha(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
-    ctx = make_context(args.p)
-    chi = character(ctx, args.k)
-    tables = build_tables(chi)
-    profile = growth_profile(chi, tables)
-    seq = alpha_sequence(chi, args.kmax, tables=tables)
+    chi = character(make_context(args.p), args.k)
+    profile = growth_profile(chi)
+    seq = alpha_sequence(chi, args.kmax)
     print("k  alpha_k            delta              bound_delta")
     for i, a in enumerate(seq.alphas):
         if i == 0:
@@ -285,6 +284,8 @@ def _parse_grid(text: str) -> tuple[float, float, int, int]:
         raise ValueError(f"--grid must look like lo:hi:count[@depth], got {text!r}")
     lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
     depth = int(depth_text) if depth_text else 0
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"--grid bounds must be finite, got {text!r}")
     if count < 1 or depth < 0 or hi < lo:
         raise ValueError(f"bad grid {text!r}")
     return lo, hi, count, depth
@@ -333,6 +334,8 @@ def _cmd_ratio(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
     if not 1 <= args.r < args.p:
         raise ValueError(f"--r must be in [1, {args.p})")
+    if not math.isfinite(args.scale):
+        raise ValueError(f"--scale must be finite, got {args.scale}")
     rows = convergence_ratio(args.p, args.r, args.kmax, scale=args.scale)
     print("k  n            A              phi            ratio")
     for k, n, a, phi0, ratio in rows:

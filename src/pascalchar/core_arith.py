@@ -2,16 +2,15 @@
 Pascal rows mod p, and Lucas-theorem binomial evaluation.
 
 Everything downstream hangs off a PrimeContext, which eagerly stores the
-first p rows of the triangle (the fundamental domain) together with a
-discrete-log table for the chosen generator. Contexts are immutable after
-construction.
+first p rows of the triangle (the fundamental domain) as one (p, p)
+array, together with a discrete-log table for the chosen generator.
+Contexts are immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,10 +100,11 @@ def to_digits(n: int, p: int) -> DigitString:
     return DigitString(tuple(digits), n)
 
 
-@dataclass
+@dataclass(eq=False)
 class PrimeContext:
     """A prime p with its least primitive root, dlog table, and the
-    fundamental domain (rows 0..p-1 of Pascal's triangle mod p).
+    fundamental domain (rows 0..p-1 of Pascal's triangle mod p):
+    domain[n, m] = C(n, m) mod p, zero above the diagonal (m > n).
 
     Not frozen only so cached_property can attach derived arrays; treat as
     immutable.
@@ -113,7 +113,7 @@ class PrimeContext:
     p: int
     g: int
     dlog: tuple[int, ...]
-    fd_rows: tuple[tuple[int, ...], ...] = field(repr=False)
+    domain: np.ndarray = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -128,11 +128,8 @@ class PrimeContext:
         Shape (p, p-1); the workhorse behind vectorized character sums.
         """
         p, n = self.p, max(self.order, 1)
-        entries = np.fromiter(
-            chain.from_iterable(self.fd_rows), dtype=np.int64, count=p * (p + 1) // 2
-        )
-        rows = np.repeat(np.arange(p, dtype=np.int64), np.arange(1, p + 1))
-        cells = rows * n + np.asarray(self.dlog, dtype=np.int64)[entries]
+        rows, cols = np.tril_indices(p)
+        cells = rows * n + np.asarray(self.dlog, dtype=np.int64)[self.domain[rows, cols]]
         return np.bincount(cells, minlength=p * n).reshape(p, n)
 
     @cached_property
@@ -161,13 +158,13 @@ def make_context(p: int) -> PrimeContext:
     for e in range(p - 1):
         dlog[x] = e
         x = x * g % p
-    rows: list[tuple[int, ...]] = [(1,)]
+    # row n is (row[n-1][:-1] + row[n-1][1:]) % p inside the ones; row n-1's zero past
+    # the diagonal makes the last sum the closing 1
+    domain = np.zeros((p, p), dtype=np.int64)
+    domain[:, 0] = 1
     for n in range(1, p):
-        prev = rows[-1]
-        rows.append(
-            (1,) + tuple((prev[m - 1] + prev[m]) % p for m in range(1, n)) + (1,)
-        )
-    return PrimeContext(p=p, g=g, dlog=tuple(dlog), fd_rows=tuple(rows))
+        domain[n, 1 : n + 1] = (domain[n - 1, :n] + domain[n - 1, 1 : n + 1]) % p
+    return PrimeContext(p=p, g=g, dlog=tuple(dlog), domain=domain)
 
 
 def lucas_binom(n: int, m: int, ctx: PrimeContext) -> int:
@@ -185,7 +182,7 @@ def lucas_binom(n: int, m: int, ctx: PrimeContext) -> int:
         m, md = divmod(m, p)
         if md > nd:
             return 0
-        out = out * ctx.fd_rows[nd][md] % p
+        out = out * int(ctx.domain[nd, md]) % p
     return out
 
 
@@ -197,7 +194,7 @@ def row_mod_p(n: int, ctx: PrimeContext, limit: int = ROW_ORACLE_LIMIT) -> list[
     if n > limit:
         raise LimitExceeded(f"row {n} exceeds the oracle limit {limit}")
     if n < ctx.p:
-        return list(ctx.fd_rows[n])
+        return ctx.domain[n, : n + 1].tolist()
     p = ctx.p
     row = np.zeros(n + 1, dtype=np.int64)
     row[0] = 1

@@ -197,9 +197,9 @@ def test_criterion_07_band_maxima_bracket():
         for k in range(ctx.order):
             chi = character(ctx, k)
             tables = build_tables(chi)
-            prof = growth_profile(chi, tables)
+            prof = growth_profile(chi)
             assert prof.q < 1.0, (p, k)  # row-regular throughout this range
-            seq = alpha_sequence(chi, k_max, tables=tables)
+            seq = alpha_sequence(chi, k_max)
             for i in range(1, len(seq.alphas)):
                 assert seq.alphas[i] >= seq.alphas[i - 1] - 1e-12, (p, k, i)
                 delta = seq.alphas[i] - seq.alphas[i - 1]

@@ -59,13 +59,13 @@ def test_growth_profile_row_dominant_has_negative_omega(ctx37):
     assert prof.max_abs_T == pytest.approx(37.0, rel=1e-12)
 
 
-def test_growth_profile_rejects_zero_phi(ctx37):
-    # no character mod a prime below 400 has phi(p) = 0, so plant one
-    chi = character(ctx37, 10)
-    tables = build_tables(chi)
-    phi_table = tables.phi_table[:-1] + (CycInt.zero(chi.order),)
+def test_growth_profile_rejects_zero_phi():
+    # no character mod a prime below 400 has phi(p) = 0, so plant one: a
+    # tally with equal columns makes every phi_k(p) with k != 0 exactly 0
+    ctx = make_context(37)
+    ctx.__dict__["row_dlog_hist"] = np.ones((37, 36), dtype=np.int64)
     with pytest.raises(UndefinedTheta, match="is zero"):
-        growth_profile(chi, FundamentalTables(chi, tables.T_table, phi_table))
+        growth_profile(character(ctx, 10))
 
 
 def test_psi_rejects_zero_phi(ctx37):

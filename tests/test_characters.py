@@ -566,14 +566,16 @@ def _ball_errors(rows, ks, mid):
 
 
 def test_character_balls_enclose_exact_sums():
-    # each midpoint lies within its radius of the exact sum: every T_k(b)
-    # and phi_k(p) of every prime p <= 61; at p = 997 seeded (b, k) and
-    # every Weil column tally at every k; and signed coefficient vectors
-    # at k = 1, whose radius needs the mass of the absolute values
+    # each midpoint lies within its radius of the exact sum: every T_k(b),
+    # phi_k(m) for m < p and phi_k(p) of every prime p <= 61; at p = 997
+    # seeded (b, k) and every Weil column tally at every k; and signed
+    # coefficient vectors at k = 1, whose radius needs the mass of the
+    # absolute values
     for p in filter(is_prime, range(2, 62)):
-        tally, ks = _domain_tally(make_context(p)), np.arange(p - 1)
-        mid, rad = character_balls(tally, ks)
-        assert (_ball_errors(tally, ks, mid) <= rad[:, None]).all(), p
+        ctx, ks = make_context(p), np.arange(p - 1)
+        for tally in (_domain_tally(ctx), np.cumsum(ctx.row_dlog_hist, axis=0)[:-1]):
+            mid, rad = character_balls(tally, ks)
+            assert (_ball_errors(tally, ks, mid) <= rad[:, None]).all(), p
     p = 997
     ctx = make_context(p)
     tally = _domain_tally(ctx)

@@ -192,6 +192,12 @@ def test_ratio_manifest_records_calibration(tmp_path, capsys):
     assert by_k["6"] < by_k["2"]  # the deviation shrinks with k
 
 
+@pytest.mark.parametrize("scale", ["inf", "-inf", "nan"])
+def test_ratio_rejects_non_finite_scale(capsys, scale):
+    assert main(["ratio", "--p", "5", "--r", "2", "--kmax", "3", f"--scale={scale}"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_alpha_csv(tmp_path, capsys):
     out = tmp_path / "a.csv"
     assert main(["alpha", "--p", "5", "--k", "1", "--kmax", "4", "--out", str(out)]) == 0
@@ -200,6 +206,13 @@ def test_alpha_csv(tmp_path, capsys):
     assert lines[0] == "k,alpha_k,delta,bound_delta"
     assert len(lines) == 5
     assert lines[1].startswith("1,1.22668690829452,,")
+
+
+def test_alpha_work_limit_without_forming_the_power(capsys):
+    # 7^100000 has 84510 digits; the limit is decided before any such power
+    assert main(["alpha", "--p", "7", "--k", "1", "--kmax", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert "LimitExceeded" in err and "k_max = 100000" in err
 
 
 def test_psi_csv_and_grid(tmp_path, capsys):
@@ -215,6 +228,12 @@ def test_psi_csv_and_grid(tmp_path, capsys):
     assert float(first[0]) == 1.0
     assert float(first[1]) == 1.0  # psi(1) = 1 exactly
     assert main(["psi", "--p", "5", "--k", "1", "--grid", "oops"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["1:1e400:3", "-inf:2:3", "nan:2:3", "1:inf:3@2"])
+def test_psi_rejects_non_finite_grid(capsys, grid):
+    assert main(["psi", "--p", "5", "--k", "1", f"--grid={grid}"]) == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_psi_grid_past_double_range(capsys):

@@ -109,17 +109,19 @@ def test_context_dlog_inverts_power(contexts):
 
 def test_context_fundamental_rows(contexts):
     for p, ctx in contexts.items():
-        assert len(ctx.fd_rows) == p
-        for n, row in enumerate(ctx.fd_rows):
-            assert list(row) == [math.comb(n, m) % p for m in range(n + 1)]
+        assert ctx.domain.shape == (p, p)
+        for n in range(p):
+            assert ctx.domain[n, : n + 1].tolist() == [math.comb(n, m) % p for m in range(n + 1)]
+            assert not ctx.domain[n, n + 1 :].any()
 
 
 def _loop_row_dlog_hist(ctx):
-    """Oracle: tally each fundamental-domain entry one at a time."""
+    """Oracle: tally each fundamental-domain entry C(b, m) mod p one at a
+    time, from math.comb rather than the context's rows."""
     hist = np.zeros((ctx.p, max(ctx.order, 1)), dtype=np.int64)
-    for b, row in enumerate(ctx.fd_rows):
-        for entry in row:
-            hist[b, ctx.dlog[entry]] += 1
+    for b in range(ctx.p):
+        for m in range(b + 1):
+            hist[b, ctx.dlog[math.comb(b, m) % ctx.p]] += 1
     return hist
 
 
