@@ -8,12 +8,13 @@ product over the base-p digits of n, and phi obeys the block identity
 
 with T(m*p^j + r) = T(m)*T(r). So a block r of j digits acts on the
 state (phi, T) as one lower-triangular matrix [[phi(p)^j, 0],
-[phi(r), T(r)]]. phi_and_T reads each block of _LEAF_DIGITS digits with
-the sequential recursion (the case j = 1, one digit at a time) and
-multiplies the block matrices pairwise up a balanced tree (binary
-splitting), so the wide products are balanced ones. Everything here
-stays exact (CycInt coefficient vectors, arbitrary-size integers);
-numeric embeddings happen only at the reporting edge.
+[phi(r), T(r)]]. phi_and_T halves the digit string recursively down to
+single digits, which read the tables, and joins the halves back up this
+balanced tree (binary splitting), so the halves of every join have
+about equal length. phi_chi and T_chi keep the one-digit recursion
+(the case j = 1) as its oracles. Everything here stays exact (CycInt
+coefficient vectors, arbitrary-size integers); numeric embeddings happen
+only at the reporting edge.
 
 Residue counts need no characters at all. CycInt multiplication is
 convolution in the group ring Z[C_{p-1}], so for the generator character
@@ -81,63 +82,34 @@ def build_tables(chi: Character) -> FundamentalTables:
     return FundamentalTables(chi, T_table, phi_table)
 
 
-# Digits per leaf of the product tree. Within a leaf each digit costs a
-# product of the growing state by a small table entry, which is cheap
-# while the state is narrow; across leaves the tree's balanced products
-# win. An n of at most this many digits never leaves the one-leaf path,
-# which is the sequential recursion itself: a 30-digit n at p >= 37 has at
-# most 20 digits. Measured on a 2-vCPU Xeon under CPython 3.11, CLI phi
-# then psi at 100 to 1000 decimal digits for p = 37 to 101: leaves of 8
-# to 24 digits gave the same median job time within the noise, and 32
-# digits a slower one.
-_LEAF_DIGITS = 24
-
-
-def _leaf(digits, tables: FundamentalTables) -> tuple[CycInt, CycInt]:
-    """(phi(r), T(r)) for the r whose base-p digits, most significant
-    first, are `digits`, by the one-digit recursion.
-
-    With state (phi, T) of the prefix m, appending digit d sends m to
-    m*p + d, and phi(m*p + d) = phi(m)*phi(p) + T(m)*phi(d).
-    """
-    phi_p = tables.phi_p
-    acc = CycInt.zero(tables.chi.order)
-    t = CycInt.one(tables.chi.order)
-    for d in digits:
-        acc = acc * phi_p + t * tables.phi_table[d]
-        t = t * tables.T_table[d]
-    return acc, t
-
-
 def phi_and_T(n: int, tables: FundamentalTables) -> tuple[CycInt, CycInt]:
-    """(phi(n), T(n)) from one pass over the base-p digits of n.
+    """(phi(n), T(n)) by halving the base-p digits of n recursively.
 
-    The digits are cut into blocks of _LEAF_DIGITS from the least
-    significant end, so only the most significant block can be shorter;
-    each block is one leaf. Neighbouring blocks join by the block
-    identity, the lower one being a full block of j digits, so every join
-    on one level of the tree takes the same phi(p)^j, squared once per
-    level.
+    A digit string of length L > 1 splits into its high L - L//2 digits
+    and its low j = L//2 digits, and the halves join by the block
+    identity; one digit d reads the tables. The halves of every join have
+    about equal length, so wide values meet wide values. Each phi(p)^j is
+    formed once per call, from phi(p)^(j//2) and phi(p)^(j - j//2).
     """
     if n < 0:
         raise IndexOutOfRange(f"n={n} negative")
     digits = to_digits(n, tables.p).digits[::-1]
-    size = _LEAF_DIGITS
-    if len(digits) <= size:
-        return _leaf(digits, tables)
-    blocks = [_leaf(digits[max(i - size, 0) : i], tables) for i in range(len(digits), 0, -size)]
-    power = tables.phi_p  # phi(p)^j, j the length of a full block on this level
-    for _ in range(size - 1):
-        power = power * tables.phi_p
-    while True:
-        joined = [
-            (phi_hi * power + t_hi * phi_lo, t_hi * t_lo)
-            for (phi_lo, t_lo), (phi_hi, t_hi) in zip(blocks[::2], blocks[1::2])
-        ]
-        blocks = joined + blocks[2 * len(joined) :]
-        if len(blocks) == 1:
-            return blocks[0]
-        power = power * power
+    powers = {1: tables.phi_p}
+
+    def power(j: int) -> CycInt:
+        if j not in powers:
+            powers[j] = power(j // 2) * power(j - j // 2)
+        return powers[j]
+
+    def block(lo: int, hi: int) -> tuple[CycInt, CycInt]:
+        if hi - lo == 1:
+            return tables.phi_table[digits[lo]], tables.T_table[digits[lo]]
+        j = (hi - lo) // 2
+        phi_hi, t_hi = block(lo, hi - j)
+        phi_lo, t_lo = block(hi - j, hi)
+        return phi_hi * power(j) + t_hi * phi_lo, t_hi * t_lo
+
+    return block(0, len(digits))
 
 
 def T_chi(n: int, tables: FundamentalTables) -> CycInt:
@@ -153,10 +125,19 @@ def T_chi(n: int, tables: FundamentalTables) -> CycInt:
 
 def phi_chi(n: int, tables: FundamentalTables) -> CycInt:
     """Cumulative sum of T over rows 0..n-1, read one digit at a time
-    (the sequential oracle for phi_and_T)."""
+    (the sequential oracle for phi_and_T).
+
+    With state (phi, T) of the prefix m, appending digit d sends m to
+    m*p + d, and phi(m*p + d) = phi(m)*phi(p) + T(m)*phi(d).
+    """
     if n < 0:
         raise IndexOutOfRange(f"n={n} negative")
-    return _leaf(to_digits(n, tables.p).digits[::-1], tables)[0]
+    acc = CycInt.zero(tables.chi.order)
+    t = CycInt.one(tables.chi.order)
+    for d in reversed(to_digits(n, tables.p).digits):
+        acc = acc * tables.phi_p + t * tables.phi_table[d]
+        t = t * tables.T_table[d]
+    return acc
 
 
 @dataclass(frozen=True)

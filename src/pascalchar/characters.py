@@ -141,10 +141,11 @@ def _cyclic_convolve(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[in
 # terms, packing every slot costs more than the schoolbook loop, which
 # skips zeros, spends (orders below 16, the unit, table rows of small
 # digits). Kronecker pads the narrow operand to the wide slot, so a wide
-# operand times a narrow one (the digit recursion inside a leaf, a
-# product tree's top node over a short block) goes to the schoolbook
-# loop, which wins there from 400-800 bits on; balanced wide products
-# (the tree's other nodes, a * conj(a)) take Kronecker. Measured on a
+# operand times a narrow one (the oracles' one-digit recursion and
+# row_dominant_witness's loop; in a product tree join, T(m)*phi(r) when
+# T grows more slowly than phi) goes to the schoolbook loop, which wins
+# there from 400-800 bits on; balanced wide products (the tree's other
+# join products, a * conj(a)) take Kronecker. Measured on a
 # 2-vCPU Xeon under CPython 3.11 at 500 to 6000 bits: with 18 to 25
 # nonzero slots Kronecker wins up to a width ratio of 2, with 48 up to
 # 4-6, with 96 up to 8-12.

@@ -127,10 +127,12 @@ class PrimeContext:
         Rows inside the domain have no zeros, so every entry contributes.
         Shape (p, p-1); the workhorse behind vectorized character sums.
         """
-        p, n = self.p, max(self.order, 1)
-        rows, cols = np.tril_indices(p)
-        cells = rows * n + np.asarray(self.dlog, dtype=np.int64)[self.domain[rows, cols]]
-        return np.bincount(cells, minlength=p * n).reshape(p, n)
+        n = max(self.order, 1)
+        dlog = np.asarray(self.dlog, dtype=np.int64)
+        hist = np.empty((self.p, n), dtype=np.int64)
+        for b in range(self.p):
+            hist[b] = np.bincount(dlog[self.domain[b, : b + 1]], minlength=n)
+        return hist
 
     @cached_property
     def group_ring_tables(self) -> FundamentalTables:

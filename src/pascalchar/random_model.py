@@ -37,6 +37,8 @@ class ModelConfig:
             raise ValueError("the model needs p > 3: smaller triangles have no interior")
         if self.samples < 100:
             raise ValueError("samples must be at least 100")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _generator(seed: int, trial: int) -> np.random.Generator:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pascalchar.char_sequences import (
-    _LEAF_DIGITS,
     A_count_bruteforce,
     A_count_formula,
     A_count_formula_all,
@@ -119,8 +118,8 @@ def test_product_tree_equals_sequential_recursion(p, data):
     ctx = make_context(p)
     k = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=max(p - 2, 0))))
     tables = ctx.group_ring_tables if k is None else build_tables(character(ctx, k))
-    # one leaf, either side of the leaf size, and a short top block
-    j = data.draw(st.sampled_from([1, _LEAF_DIGITS - 1, _LEAF_DIGITS, _LEAF_DIGITS + 1, 2 * _LEAF_DIGITS + 1]))
+    # digit counts at and either side of the halving's powers of two
+    j = data.draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]))
     n = data.draw(st.one_of(
         st.just(0),
         st.integers(min_value=0, max_value=p - 1),
@@ -131,6 +130,25 @@ def test_product_tree_equals_sequential_recursion(p, data):
         ),
     ))
     assert phi_and_T(n, tables) == (phi_chi(n, tables), T_chi(n, tables))
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 64, 65, 3000])
+def test_product_tree_closed_forms_at_p2(j):
+    # mod 2 every entry is 0 or 1 and chi = 1 on 1, so T(n) = 2^(ones of n)
+    # and phi(2^j) = 3^j; 2^j - 1 has j ones and phi(2^j - 1) = 3^j - 2^j
+    tables = build_tables(character(make_context(2), 0))
+    assert phi_and_T(2**j, tables) == (CycInt(1, (3**j,)), CycInt(1, (2,)))
+    assert phi_and_T(2**j - 1, tables) == (CycInt(1, (3**j - 2**j,)), CycInt(1, (2**j,)))
+
+
+@pytest.mark.parametrize("j", [2, 3, 63, 64, 65])
+def test_product_tree_powers_of_p(j):
+    # p^j is a one followed by j zeros, and phi(p^j) = phi(p)^j
+    tables = make_context(37).group_ring_tables
+    power = tables.phi_p
+    for _ in range(j - 1):
+        power = power * tables.phi_p
+    assert phi_and_T(37**j, tables)[0] == power
 
 
 # ---------------------------------------------------------------------------

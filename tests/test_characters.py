@@ -123,8 +123,8 @@ def _strided_coeffs(draw, n, bits, signed):
 
 # the edges of a byte-rounded slot and of the free width
 _PRODUCT_BITS = [0, 1, 7, 8, 63, 64, _KRONECKER_FREE_BITS, _KRONECKER_FREE_BITS + 1, 1000]
-# the product tree's operands: balanced nodes, a wide node times a narrow
-# leaf, and both sides of the width ratio that the selection allows
+# the product tree's operands: balanced joins, a wide value times a narrow
+# table entry, and both sides of the width ratio that the selection allows
 _TREE_PRODUCT_BITS = [
     (2000, 2000),
     (6000, 6000),

@@ -177,6 +177,12 @@ def test_model_json_round_trip(tmp_path, capsys):
     assert manifest["seeds"] == [11]
 
 
+def test_model_rejects_negative_seed(capsys):
+    argv = ["model", "--p", "5", "--samples", "100", "--seed", "-1", "--target", "Ycount:2"]
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_ratio_manifest_records_calibration(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert main(["ratio", "--p", "5", "--r", "2", "--kmax", "6", "--out", str(out)]) == 0

@@ -29,6 +29,8 @@ def test_config_validation():
         ModelConfig(p=3, samples=100, seed=0)
     with pytest.raises(ValueError):
         ModelConfig(p=7, samples=99, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        ModelConfig(p=5, samples=100, seed=-1)
 
 
 def test_domain_layout():
