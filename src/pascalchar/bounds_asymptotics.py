@@ -164,6 +164,8 @@ def sup_ratio(
     chi: Character, exponent: float, n_max: int, limit: int = ALPHA_WORK_LIMIT
 ) -> tuple[float, int]:
     """Max of |phi(n)|/n^exponent over 1 < n <= n_max, with its argmax."""
+    if n_max < 2:
+        raise ValueError(f"n_max = {n_max} leaves no n in 1 < n <= n_max")
     if n_max > limit:
         raise LimitExceeded(f"n_max = {n_max} exceeds sweep limit {limit}")
     return _ratio_sweep_max(2, n_max, exponent, chi.ctx.p, _tally_balls(chi)[0])

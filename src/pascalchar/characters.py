@@ -33,54 +33,12 @@ from .errors import IndexOutOfRange, OrderMismatch
 # polynomial helpers for cyclotomic reduction
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divexact(a: list[int], b: list[int]) -> list[int]:
-    """Quotient of a by monic-leading b; remainder must vanish."""
+def _poly_divexact(a: list[int], b: tuple[int, ...]) -> list[int]:
+    """Quotient of a by monic b; remainder must vanish."""
     a = list(a)
     q = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
     for i in range(len(q) - 1, -1, -1):
-        c, rem = divmod(a[i + len(b) - 1], lead)
-        if rem:
-            raise ArithmeticError("non-exact polynomial division")
-        q[i] = c
+        q[i] = c = a[i + len(b) - 1]
         for j, bj in enumerate(b):
             a[i + j] -= c * bj
     if any(a):
@@ -92,22 +50,15 @@ def _poly_divexact(a: list[int], b: list[int]) -> list[int]:
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 
-    Built from the Moebius product over divisors of n: multiply the
-    (x^d - 1) factors with mu(n/d) = 1, then exact-divide by those with
-    mu(n/d) = -1.
+    x^n - 1 is the product of the d-th cyclotomic polynomials over the
+    divisors d of n, so exact division by those of the proper divisors
+    leaves the n-th.
     """
-    num = [1]
-    dens: list[int] = []
-    for d in _divisors(n):
-        mu = _moebius(n // d)
-        factor = [-1] + [0] * (d - 1) + [1]
-        if mu == 1:
-            num = _poly_mul(num, factor)
-        elif mu == -1:
-            dens.append(d)
-    for d in dens:
-        num = _poly_divexact(num, [-1] + [0] * (d - 1) + [1])
-    return tuple(num)
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_divexact(poly, cyclotomic_coeffs(d))
+    return tuple(poly)
 
 
 def _reduce_mod_cyclotomic(coeffs: tuple[int, ...], order: int) -> tuple[int, ...]:
@@ -134,24 +85,11 @@ def _cyclic_convolve(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[in
     return tuple(out)
 
 
-# CycInt products take the Kronecker path when each operand has at least
-# _KRONECKER_MIN_TERMS nonzero coefficients and the wider operand's
-# coefficients are at most _KRONECKER_FREE_BITS bits, or at most
-# _KRONECKER_MAX_RATIO times as wide as the narrower operand's. With fewer
-# terms, packing every slot costs more than the schoolbook loop, which
-# skips zeros, spends (orders below 16, the unit, table rows of small
-# digits). Kronecker pads the narrow operand to the wide slot, so a wide
-# operand times a narrow one (the oracles' one-digit recursion and
-# row_dominant_witness's loop; in a product tree join, T(m)*phi(r) when
-# T grows more slowly than phi) goes to the schoolbook loop, which wins
-# there from 400-800 bits on; balanced wide products (the tree's other
-# join products, a * conj(a)) take Kronecker. Measured on a
-# 2-vCPU Xeon under CPython 3.11 at 500 to 6000 bits: with 18 to 25
-# nonzero slots Kronecker wins up to a width ratio of 2, with 48 up to
-# 4-6, with 96 up to 8-12.
+# CycInt products take the Kronecker path when both operands have at
+# least _KRONECKER_MIN_TERMS nonzero coefficients; with fewer, packing
+# every slot costs more than the schoolbook loop, which skips zeros,
+# spends (orders below 16, the unit, table rows of small digits).
 _KRONECKER_MIN_TERMS = 16
-_KRONECKER_FREE_BITS = 384
-_KRONECKER_MAX_RATIO = 2
 
 
 def _coeff_bits(c: tuple[int, ...]) -> int:
@@ -222,13 +160,9 @@ def _kronecker_convolve(
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Product mod x^n - 1 by the path that is faster for these operands."""
-    if n < _KRONECKER_MIN_TERMS:  # no operand can qualify; skip the counting
-        return _cyclic_convolve(a, b, n)
     zeros_a, zeros_b = a.count(0), b.count(0)
     if n - max(zeros_a, zeros_b) >= _KRONECKER_MIN_TERMS:
-        narrow, wide = sorted((_coeff_bits(a), _coeff_bits(b)))
-        if wide <= max(_KRONECKER_FREE_BITS, _KRONECKER_MAX_RATIO * narrow):
-            return _kronecker_convolve(a, b, n, _support_stride(a, b, n))
+        return _kronecker_convolve(a, b, n, _support_stride(a, b, n))
     # the schoolbook loop skips the zeros of its outer operand
     if zeros_a < zeros_b:
         a, b = b, a

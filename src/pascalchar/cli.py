@@ -30,7 +30,7 @@ from .bounds_asymptotics import (
     write_bound_csv,
     write_convergence_csv,
 )
-from .char_sequences import A_count_bruteforce, A_count_formula, build_tables, phi_and_T
+from .char_sequences import A_count_formula, build_tables, phi_and_T
 from .characters import CycInt, character, embed_value
 from .classification import (
     format_scan_table,
@@ -159,11 +159,7 @@ def _cmd_count(args: argparse.Namespace, argv: list[str]) -> int:
     ctx = make_context(args.p)
     if not 1 <= args.r < args.p:
         raise ValueError(f"--r must be in [1, {args.p})")
-    if args.method == "brute":
-        val = A_count_bruteforce(n, ctx)[args.r]
-    else:
-        val = A_count_formula(n, args.r, ctx)
-    print(val)
+    print(A_count_formula(n, args.r, ctx))
     return 0
 
 
@@ -410,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--r", type=int, required=True)
     p_count.add_argument("--n", type=str, required=True, help="nonnegative decimal integer, any size")
-    p_count.add_argument("--method", choices=("formula", "brute"), default="formula")
     p_count.set_defaults(func=_cmd_count)
 
     p_scatter = sub.add_parser("scatter", help="phi(p)/p scatter for nonprincipal characters")

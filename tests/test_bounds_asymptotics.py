@@ -382,6 +382,16 @@ def test_bounded_growth_check_fields(ctx37, contexts):
     assert not weak.hypothesis_ok  # row-regular: |phi(p)| strictly beats max |T|
 
 
+@pytest.mark.parametrize("n_max", [1, 0, -5])
+def test_sweep_rejects_empty_range(ctx37, n_max):
+    # 1 < n <= n_max is empty: no sup and no argmax inside the swept range
+    chi = character(ctx37, 10)
+    with pytest.raises(ValueError, match="n_max"):
+        sup_ratio(chi, 1.0, n_max)
+    with pytest.raises(ValueError, match="n_max"):
+        bounded_growth_check(chi, n_max=n_max)
+
+
 def test_convergence_ratio_exact_golden():
     rows = convergence_ratio(5, 2, 6)
     by_k = {k: (a, phi0, ratio) for k, _, a, phi0, ratio in rows}

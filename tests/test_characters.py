@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 from pascalchar import characters
 from pascalchar.characters import (
-    _KRONECKER_FREE_BITS,
-    _KRONECKER_MAX_RATIO,
     Comparison,
     CycInt,
     UnityOrZero,
@@ -58,7 +56,7 @@ small_cyc = st.sampled_from(ORDERS).flatmap(
 
 def test_cyclotomic_coeffs_against_sympy():
     x = sympy.symbols("x")
-    for n in range(1, 61):
+    for n in [*range(1, 61), 96, 100, 228]:
         ours = cyclotomic_coeffs(n)
         theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
         assert list(ours) == list(reversed(theirs)), n
@@ -121,16 +119,16 @@ def _strided_coeffs(draw, n, bits, signed):
     return tuple(out)
 
 
-# the edges of a byte-rounded slot and of the free width
-_PRODUCT_BITS = [0, 1, 7, 8, 63, 64, _KRONECKER_FREE_BITS, _KRONECKER_FREE_BITS + 1, 1000]
+# the edges of a byte-rounded slot, and wide coefficients
+_PRODUCT_BITS = [0, 1, 7, 8, 63, 64, 384, 385, 1000]
 # the product tree's operands: balanced joins, a wide value times a narrow
-# table entry, and both sides of the width ratio that the selection allows
+# table entry, and uneven joins on both sides of a width ratio of 2
 _TREE_PRODUCT_BITS = [
     (2000, 2000),
     (6000, 6000),
     (6000, 40),
-    (6000, 6000 // _KRONECKER_MAX_RATIO),
-    (6000, 6000 // _KRONECKER_MAX_RATIO - 1),
+    (6000, 3000),
+    (6000, 2999),
 ]
 
 
@@ -166,7 +164,7 @@ def test_kronecker_product_at_full_slot_magnitude(n):
 
 
 @pytest.mark.parametrize("n", [4, 36])
-@pytest.mark.parametrize("bits", [1, _KRONECKER_FREE_BITS, _KRONECKER_FREE_BITS + 1])
+@pytest.mark.parametrize("bits", [1, 384, 385])
 def test_product_matches_schoolbook_across_selection(n, bits):
     a = tuple((-1) ** i << bits if i % 3 else 0 for i in range(n))
     b = tuple(-(1 << bits) + i for i in range(n))
@@ -175,23 +173,13 @@ def test_product_matches_schoolbook_across_selection(n, bits):
 
 
 @pytest.mark.parametrize(
-    "bits_a, bits_b, kronecker",
-    [
-        (8, 8, True),
-        (_KRONECKER_FREE_BITS, 8, True),
-        (_KRONECKER_FREE_BITS + 1, 8, False),
-        (2000, 2000, True),
-        (6000, 6000 // _KRONECKER_MAX_RATIO, True),
-        (6000, 6000 // _KRONECKER_MAX_RATIO - 1, False),
-        (6000, 40, False),
-    ],
+    "bits_a, bits_b",
+    [(8, 8), (384, 8), (385, 8), (2000, 2000), (6000, 3000), (6000, 2999), (6000, 40),
+     # the widest T(m)*phi(r) join of phi_and_T at p = 97, k = 22, 1000 digits
+     (1319, 3058)],
 )
 @pytest.mark.parametrize("n", [4, 36])
-def test_product_path_follows_width_ratio(monkeypatch, n, bits_a, bits_b, kronecker):
-    # coefficients exactly bits_a and bits_b bits wide, the first operand
-    # zero off the residues 1, 2 mod 3
-    a = tuple((-1) ** i * ((1 << bits_a) - 1 - i) if i % 3 else 0 for i in range(n))
-    b = tuple((1 << bits_b) - 1 - i for i in range(n))
+def test_product_path_follows_term_count(monkeypatch, n, bits_a, bits_b):
     calls = []
     kronecker_convolve = characters._kronecker_convolve
 
@@ -200,11 +188,19 @@ def test_product_path_follows_width_ratio(monkeypatch, n, bits_a, bits_b, kronec
         return kronecker_convolve(*args)
 
     monkeypatch.setattr(characters, "_kronecker_convolve", spy)
-    want = _cyclic_convolve(a, b, n)
-    assert _convolve(a, b, n) == want
-    assert _convolve(b, a, n) == want
-    # below 16 nonzero terms no product takes Kronecker
-    assert bool(calls) == (kronecker and n >= 16)
+    for terms_a in sorted({1, min(n, 15), min(n, 16), n}):
+        for terms_b in sorted({1, min(n, 15), min(n, 16), n}):
+            # coefficients exactly bits_a and bits_b bits wide, the first
+            # operand signed, on the first terms_a and the last terms_b slots
+            a = tuple((-1) ** i * ((1 << bits_a) - 1 - i) if i < terms_a else 0
+                      for i in range(n))
+            b = tuple((1 << bits_b) - 1 - i if i >= n - terms_b else 0 for i in range(n))
+            want = _cyclic_convolve(a, b, n)
+            for x, y in ((a, b), (b, a)):
+                calls.clear()
+                assert _convolve(x, y, n) == want
+                # Kronecker iff both operands have 16 or more nonzero terms
+                assert bool(calls) == (min(terms_a, terms_b) >= 16), (terms_a, terms_b)
 
 
 @given(small_cyc, st.integers(min_value=-80, max_value=80))

@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+from pascalchar.char_sequences import A_count_bruteforce
 from pascalchar.cli import main
+from pascalchar.core_arith import make_context
 
 
 def _sha256_file(path) -> str:
@@ -50,20 +52,14 @@ def test_phi_rejects_non_numeric(capsys):
 def test_count_formula_and_brute_agree(capsys):
     assert main(["count", "--p", "5", "--r", "1", "--n", "5"]) == 0
     assert capsys.readouterr().out.strip() == "10"
-    assert main(["count", "--p", "5", "--r", "1", "--n", "5", "--method", "brute"]) == 0
-    assert capsys.readouterr().out.strip() == "10"
-    assert main(["count", "--p", "7", "--r", "3", "--n", "999"]) == 0
-    formula = capsys.readouterr().out.strip()
-    assert main(["count", "--p", "7", "--r", "3", "--n", "999", "--method", "brute"]) == 0
-    assert capsys.readouterr().out.strip() == formula
+    for p, r, n in ((5, 1, 5), (7, 3, 999)):
+        assert main(["count", "--p", str(p), "--r", str(r), "--n", str(n)]) == 0
+        assert capsys.readouterr().out.strip() == str(A_count_bruteforce(n, make_context(p))[r])
 
 
 def test_count_exit_codes(capsys):
     assert main(["count", "--p", "7", "--r", "0", "--n", "10"]) == 2
     assert "usage error" in capsys.readouterr().err
-    # brute force refuses n beyond its work limit: computation error, not usage
-    assert main(["count", "--p", "7", "--r", "1", "--n", "100000", "--method", "brute"]) == 1
-    assert "LimitExceeded" in capsys.readouterr().err
 
 
 def _c4_mul(a, b):
