@@ -12,7 +12,6 @@ and those column inequalities themselves.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,6 @@ import numpy as np
 from .char_sequences import FundamentalTables, build_tables, phi_and_T, table_layout, tally_sum
 from .characters import (
     Character,
-    CycInt,
     character,
     character_balls,
     embed_value,
@@ -272,16 +270,12 @@ def row_dominant_witness(chi: Character, k_max: int) -> list[tuple[int, int, flo
     tables = build_tables(chi)
     sigma = growth_profile(chi).theta.real
     p = chi.ctx.p
-    phi_p, phi_b, t_b = tables.phi_p, tables.phi_table[b], tables.T_table[b]
     rows: list[tuple[int, int, float]] = []
-    acc = CycInt.zero(chi.order)
-    t = CycInt.one(chi.order)
     n_k = 0
     for k in range(1, k_max + 1):
-        acc = acc * phi_p + t * phi_b
-        t = t * t_b
         n_k = n_k * p + b
-        pair = (abs(complex(embed_value(v)[0])) for v in (acc, acc + t))
+        phi_n, t_n = phi_and_T(n_k, tables)  # phi(n_k + 1) = phi(n_k) + T(n_k)
+        pair = (abs(complex(embed_value(v)[0])) for v in (phi_n, phi_n + t_n))
         ratio = sum(pair) / p ** (k * sigma)
         rows.append((k, n_k, ratio))
     return rows
@@ -444,50 +438,3 @@ def convergence_ratio(
         ratio = float(Fraction(a * (p - 1), phi0))
         out.append((k, n, a, phi0, ratio))
     return out
-
-
-# ---------------------------------------------------------------------------
-# CSV writers
-
-
-def write_alpha_csv(seq: AlphaSequence, profile: GrowthProfile, path: str) -> None:
-    """Rows k, alpha_k, step delta, and the geometric step bound.
-
-    delta at row k is alpha_k - alpha_{k-1}; bound_delta is
-    |phi(p)| * alpha_1 * q^{k-1}, the proven ceiling for that step.
-    First row leaves both blank.
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "alpha_k", "delta", "bound_delta"])
-        for i, a in enumerate(seq.alphas):
-            k = i + 1
-            if i == 0:
-                w.writerow([k, f"{a:.15g}", "", ""])
-            else:
-                delta = a - seq.alphas[i - 1]
-                bound = profile.abs_phi * seq.alphas[0] * profile.q ** (k - 1)
-                w.writerow([k, f"{a:.15g}", f"{delta:.15g}", f"{bound:.15g}"])
-
-
-def write_convergence_csv(rows: list[tuple[int, int, int, int, float]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "n", "A", "phi", "ratio"])
-        for k, n, a, phi0, ratio in rows:
-            w.writerow([k, n, a, phi0, f"{ratio:.15g}"])
-
-
-def write_bound_csv(report: BoundReport, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p", "trivial", "weil", "weil_simple", "max_abs_phi"])
-        w.writerow(
-            [
-                report.p,
-                report.trivial,
-                f"{report.weil:.15g}",
-                f"{report.weil_simple:.15g}",
-                f"{report.max_abs_phi:.15g}",
-            ]
-        )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, CycInt
+from .characters import Character, CycInt, _cyclic_convolve
 from .core_arith import ROW_ORACLE_LIMIT, PrimeContext, to_digits
 from .errors import IndexOutOfRange, LimitExceeded
 
@@ -112,6 +112,16 @@ def phi_and_T(n: int, tables: FundamentalTables) -> tuple[CycInt, CycInt]:
     return block(0, len(digits))
 
 
+def _times_row(x: CycInt, row: CycInt) -> CycInt:
+    """x * row for a fixed table row. Kronecker packs the row into slots
+    as wide as x's coefficients; the schoolbook loop (row outer) makes one
+    pass over x per nonzero row term instead, and is the cheaper once a
+    single coefficient of x holds more bits than the whole row."""
+    if max(map(abs, x.coeffs)).bit_length() < sum(c.bit_length() for c in row.coeffs):
+        return x * row
+    return CycInt(x.order, _cyclic_convolve(row.coeffs, x.coeffs, x.order))
+
+
 def T_chi(n: int, tables: FundamentalTables) -> CycInt:
     """Row sum at n: the plain product of T over the base-p digits of n
     (the oracle for phi_and_T's T, independent of its recursion)."""
@@ -119,7 +129,7 @@ def T_chi(n: int, tables: FundamentalTables) -> CycInt:
         raise IndexOutOfRange(f"n={n} negative")
     out = CycInt.one(tables.chi.order)
     for d in to_digits(n, tables.p).digits:
-        out = out * tables.T_table[d]
+        out = _times_row(out, tables.T_table[d])
     return out
 
 
@@ -135,8 +145,8 @@ def phi_chi(n: int, tables: FundamentalTables) -> CycInt:
     acc = CycInt.zero(tables.chi.order)
     t = CycInt.one(tables.chi.order)
     for d in reversed(to_digits(n, tables.p).digits):
-        acc = acc * tables.phi_p + t * tables.phi_table[d]
-        t = t * tables.T_table[d]
+        acc = _times_row(acc, tables.phi_p) + _times_row(t, tables.phi_table[d])
+        t = _times_row(t, tables.T_table[d])
     return acc
 
 

@@ -11,7 +11,6 @@ uncertified float. The scatter and mean reports read the midpoints.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -119,26 +118,6 @@ def scan(p_max: int) -> list[ClassificationRecord]:
     return out
 
 
-def write_classification_csv(records: list[ClassificationRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "p", "k", "paper_label", "parity", "re_phi", "im_phi",
-                "abs_phi", "max_T_b", "max_T_abs", "verdict",
-            ]
-        )
-        for r in records:
-            w.writerow(
-                [
-                    r.p, r.k, r.label, r.parity,
-                    f"{r.phi_value.real:.15g}", f"{r.phi_value.imag:.15g}",
-                    f"{r.abs_phi:.15g}", r.max_T_b, f"{r.max_T_abs:.15g}",
-                    r.verdict.value,
-                ]
-            )
-
-
 def format_scan_table(records: list[ClassificationRecord]) -> str:
     """Two-column text table: prime | labels of its non-row-regular characters."""
     by_p: dict[int, list[ClassificationRecord]] = {}
@@ -171,14 +150,6 @@ def fundamental_scatter(p_max: int) -> list[tuple[int, int, str, float, float]]:
     return rows
 
 
-def write_scatter_csv(rows: list[tuple[int, int, str, float, float]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p", "k", "parity", "re_phi_over_p", "im_phi_over_p"])
-        for p, k, parity, re, im in rows:
-            w.writerow([p, k, parity, f"{re:.15g}", f"{im:.15g}"])
-
-
 # ---------------------------------------------------------------------------
 # parity-cluster means
 
@@ -206,21 +177,3 @@ def mean_report(p: int) -> MeanReport:
     mu_even = complex(even.mean()) if len(even) else 0j
     mu_odd = complex(odd.mean()) if len(odd) else 0j
     return MeanReport(p=p, mu_even=mu_even, mu_odd=mu_odd)
-
-
-def write_means_csv(reports: list[MeanReport], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["p", "re_mu_even", "im_mu_even", "re_mu_odd", "im_mu_odd", "ratio_even", "ratio_odd"]
-        )
-        for r in reports:
-            w.writerow(
-                [
-                    r.p,
-                    f"{r.mu_even.real:.15g}", f"{r.mu_even.imag:.15g}",
-                    f"{r.mu_odd.real:.15g}", f"{r.mu_odd.imag:.15g}",
-                    f"{r.ratio_even:.15g}", f"{r.ratio_odd:.15g}",
-                ]
-            )
-

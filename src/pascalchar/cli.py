@@ -1,18 +1,22 @@
 """Command-line surface: reproducible, file-emitting subcommands.
 
-Every file-writing command drops a sibling manifest JSON recording the
-command line, seeds, library version, wall time, and SHA-256 digests of
-the outputs, so any emitted artifact can be traced back to an exact
-rerun. Exit codes: 0 success, 1 computation error (invalid mathematical
-input or an exceeded work limit), 2 usage error.
+This is the only module that writes report files. Every CSV goes
+through _write_csv, and every file-writing command drops a sibling
+manifest JSON (_write_manifest) recording the command line, seeds,
+library version, wall time, and SHA-256 digests of the outputs, so any
+emitted artifact can be traced back to an exact rerun. Exit codes:
+0 success, 1 computation error (invalid mathematical input or an
+exceeded work limit), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
+import shlex
 import sys
 import time
 from fractions import Fraction
@@ -26,9 +30,6 @@ from .bounds_asymptotics import (
     convergence_ratio,
     growth_profile,
     psi,
-    write_alpha_csv,
-    write_bound_csv,
-    write_convergence_csv,
 )
 from .char_sequences import A_count_formula, build_tables, phi_and_T
 from .characters import CycInt, character, embed_value
@@ -37,9 +38,6 @@ from .classification import (
     fundamental_scatter,
     mean_report,
     scan,
-    write_classification_csv,
-    write_means_csv,
-    write_scatter_csv,
 )
 from .core_arith import is_prime, make_context
 from .errors import PascalCharError
@@ -63,16 +61,26 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+    """A header line, then one line per row: floats at .15g, every other
+    value as it is; csv's CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.15g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def _write_manifest(
-    primary_out: str,
     argv: list[str],
     started: float,
     outputs: list[str],
     seeds: list[int] | None = None,
     extras: dict | None = None,
 ) -> str:
+    """Write outputs[0] + ".manifest.json" and return the line announcing
+    the outputs and the manifest."""
     manifest = {
-        "command": "pascalchar " + " ".join(argv),
+        "command": "pascalchar " + shlex.join(argv),
         "seeds": seeds or [],
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
@@ -80,11 +88,11 @@ def _write_manifest(
     }
     if extras:
         manifest.update(extras)
-    path = primary_out + ".manifest.json"
+    path = outputs[0] + ".manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return f"wrote {', '.join(outputs)} and {path}"
 
 
 def _sparse_str(x: CycInt) -> str:
@@ -123,9 +131,17 @@ def _cmd_scan(args: argparse.Namespace, argv: list[str]) -> int:
     records = scan(args.pmax)
     print(format_scan_table(records))
     if args.out:
-        write_classification_csv(records, args.out)
-        manifest = _write_manifest(args.out, argv, started, [args.out])
-        print(f"wrote {args.out} and {manifest}")
+        header = [
+            "p", "k", "paper_label", "parity", "re_phi", "im_phi",
+            "abs_phi", "max_T_b", "max_T_abs", "verdict",
+        ]
+        rows = [
+            (r.p, r.k, r.label, r.parity, r.phi_value.real, r.phi_value.imag,
+             r.abs_phi, r.max_T_b, r.max_T_abs, r.verdict.value)
+            for r in records
+        ]
+        _write_csv(args.out, header, rows)
+        print(_write_manifest(argv, started, [args.out]))
     return 0
 
 
@@ -226,14 +242,13 @@ def _scatter_svg(rows: list[tuple[int, int, str, float, float]]) -> str:
 def _cmd_scatter(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
     rows = fundamental_scatter(args.pmax)
-    write_scatter_csv(rows, args.out)
+    _write_csv(args.out, ["p", "k", "parity", "re_phi_over_p", "im_phi_over_p"], rows)
     outputs = [args.out]
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(_scatter_svg(rows))
         outputs.append(args.svg)
-    manifest = _write_manifest(args.out, argv, started, outputs)
-    print(f"{len(rows)} points; wrote {', '.join(outputs)} and {manifest}")
+    print(f"{len(rows)} points; {_write_manifest(argv, started, outputs)}")
     return 0
 
 
@@ -247,9 +262,10 @@ def _cmd_bounds(args: argparse.Namespace, argv: list[str]) -> int:
     print(f"max_abs_phi  = {report.max_abs_phi:.15g}")
     print(f"column checks passed for n = 2..{report.columns_checked + 1}")
     if args.out:
-        write_bound_csv(report, args.out)
-        manifest = _write_manifest(args.out, argv, started, [args.out])
-        print(f"wrote {args.out} and {manifest}")
+        header = ["p", "trivial", "weil", "weil_simple", "max_abs_phi"]
+        row = (report.p, report.trivial, report.weil, report.weil_simple, report.max_abs_phi)
+        _write_csv(args.out, header, [row])
+        print(_write_manifest(argv, started, [args.out]))
     return 0
 
 
@@ -258,18 +274,20 @@ def _cmd_alpha(args: argparse.Namespace, argv: list[str]) -> int:
     chi = character(make_context(args.p), args.k)
     profile = growth_profile(chi)
     seq = alpha_sequence(chi, args.kmax)
+    # delta at row k is alpha_k - alpha_{k-1}; bound_delta is
+    # |phi(p)| * alpha_1 * q^{k-1}, the proven ceiling for that step;
+    # the first row has neither
+    a = seq.alphas
+    rows = [(1, a[0], "", "")] + [
+        (i + 1, a[i], a[i] - a[i - 1], profile.abs_phi * a[0] * profile.q**i)
+        for i in range(1, len(a))
+    ]
     print("k  alpha_k            delta              bound_delta")
-    for i, a in enumerate(seq.alphas):
-        if i == 0:
-            print(f"{i + 1:<2} {a:<18.12g}")
-        else:
-            delta = a - seq.alphas[i - 1]
-            bound = profile.abs_phi * seq.alphas[0] * profile.q**i
-            print(f"{i + 1:<2} {a:<18.12g} {delta:<18.12g} {bound:<18.12g}")
+    for k, *steps in rows:
+        print(f"{k:<2} " + " ".join(f"{v:<18.12g}" for v in steps if v != ""))
     if args.out:
-        write_alpha_csv(seq, profile, args.out)
-        manifest = _write_manifest(args.out, argv, started, [args.out])
-        print(f"wrote {args.out} and {manifest}")
+        _write_csv(args.out, ["k", "alpha_k", "delta", "bound_delta"], rows)
+        print(_write_manifest(argv, started, [args.out]))
     return 0
 
 
@@ -307,22 +325,15 @@ def _cmd_psi(args: argparse.Namespace, argv: list[str]) -> int:
             cand = lo_n + span * i // (count - 1)
             if not numerators or cand != numerators[-1]:
                 numerators.append(cand)
-    lines = []
+    rows = []
     for n in numerators:
         x = Fraction(n, scale)
         val = psi(x, chi, tables)
-        lines.append((float(x), val))
+        rows.append((float(x), val.real, val.imag, abs(val)))
         print(f"psi({n}/{scale}) = {val.real:.12g}{val.imag:+.12g}i  |psi| = {abs(val):.12g}")
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["x", "re_psi", "im_psi", "abs_psi"])
-            for x, val in lines:
-                w.writerow([f"{x:.15g}", f"{val.real:.15g}", f"{val.imag:.15g}", f"{abs(val):.15g}"])
-        manifest = _write_manifest(args.out, argv, started, [args.out])
-        print(f"wrote {args.out} and {manifest}")
+        _write_csv(args.out, ["x", "re_psi", "im_psi", "abs_psi"], rows)
+        print(_write_manifest(argv, started, [args.out]))
     return 0
 
 
@@ -337,7 +348,7 @@ def _cmd_ratio(args: argparse.Namespace, argv: list[str]) -> int:
     for k, n, a, phi0, ratio in rows:
         print(f"{k:<2} {n:<12} {a:<14} {phi0:<14} {ratio:.12g}")
     if args.out:
-        write_convergence_csv(rows, args.out)
+        _write_csv(args.out, ["k", "n", "A", "phi", "ratio"], rows)
         deviations = {str(k): abs(ratio - 1.0) for k, _, _, _, ratio in rows}
         extras = {
             "calibration": {
@@ -345,8 +356,7 @@ def _cmd_ratio(args: argparse.Namespace, argv: list[str]) -> int:
                 "final_abs_ratio_minus_1": deviations[str(rows[-1][0])] if rows else None,
             }
         }
-        manifest = _write_manifest(args.out, argv, started, [args.out], extras=extras)
-        print(f"wrote {args.out} and {manifest}")
+        print(_write_manifest(argv, started, [args.out], extras=extras))
     return 0
 
 
@@ -359,8 +369,7 @@ def _cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")
-        manifest = _write_manifest(args.out, argv, started, [args.out], seeds=[args.seed])
-        print(f"wrote {args.out} and {manifest}")
+        print(_write_manifest(argv, started, [args.out], seeds=[args.seed]))
     return 0
 
 
@@ -374,9 +383,16 @@ def _cmd_means(args: argparse.Namespace, argv: list[str]) -> int:
             f"{r.ratio_even:<11.6g} {r.ratio_odd:<10.6g}"
         )
     if args.out:
-        write_means_csv(reports, args.out)
-        manifest = _write_manifest(args.out, argv, started, [args.out])
-        print(f"wrote {args.out} and {manifest}")
+        header = [
+            "p", "re_mu_even", "im_mu_even", "re_mu_odd", "im_mu_odd", "ratio_even", "ratio_odd",
+        ]
+        rows = [
+            (r.p, r.mu_even.real, r.mu_even.imag, r.mu_odd.real, r.mu_odd.imag,
+             r.ratio_even, r.ratio_odd)
+            for r in reports
+        ]
+        _write_csv(args.out, header, rows)
+        print(_write_manifest(argv, started, [args.out]))
     return 0
 
 

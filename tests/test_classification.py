@@ -1,9 +1,6 @@
-"""Verdicts, the prime scan, scatter data, and CSV emission."""
+"""Verdicts, the prime scan, scatter data, and parity means."""
 
 from __future__ import annotations
-
-import csv
-import io
 
 import numpy as np
 import pytest
@@ -18,8 +15,6 @@ from pascalchar.classification import (
     fundamental_scatter,
     mean_report,
     scan,
-    write_classification_csv,
-    write_scatter_csv,
 )
 from pascalchar.core_arith import is_prime, make_context
 
@@ -118,23 +113,6 @@ def test_overlapping_rows_go_to_the_exact_comparator(monkeypatch, p, k):
     assert (got.verdict, got.witness_b, got.max_T_b) == (want.verdict, want.witness_b, want.max_T_b)
 
 
-def test_classification_csv_format(tmp_path):
-    recs = scan(40)
-    out = tmp_path / "t.csv"
-    write_classification_csv(recs, str(out))
-    text = out.read_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "p,k,paper_label,parity,re_phi,im_phi,abs_phi,max_T_b,max_T_abs,verdict"
-    rows = list(csv.DictReader(io.StringIO(text)))
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["p"] == "37"
-    assert row["k"] == "10"
-    assert row["paper_label"] == "chi(2)=e^{20pi i/36}"
-    assert row["verdict"] == "RowDominant"
-    assert float(row["abs_phi"]) == pytest.approx(33.8769269023279)
-
-
 def test_format_scan_table_lists_labels():
     table = format_scan_table(scan(40))
     assert "37" in table and "chi(2)=e^{20pi i/36}" in table
@@ -160,14 +138,6 @@ def test_scatter_counts_and_parity(contexts):
         assert 1 <= k <= p - 2
         assert parity == ("even" if k % 2 == 0 else "odd")
         assert (re * re + im * im) ** 0.5 < (p + 1) / 2
-
-
-def test_scatter_csv(tmp_path):
-    out = tmp_path / "s.csv"
-    write_scatter_csv(fundamental_scatter(10), str(out))
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "p,k,parity,re_phi_over_p,im_phi_over_p"
-    assert len(lines) == 1 + (3 - 2) + (5 - 2) + (7 - 2)
 
 
 def test_mean_report_hand_values():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 
@@ -108,12 +111,19 @@ def test_scan_csv_and_manifest(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--pmax", "40", "--out", str(out)]) == 0
     capsys.readouterr()
-    lines = out.read_text().strip().split("\n")
+    text = out.read_text()
+    lines = text.strip().split("\n")
     assert lines[0] == "p,k,paper_label,parity,re_phi,im_phi,abs_phi,max_T_b,max_T_abs,verdict"
     assert lines[1] == (
         "37,10,chi(2)=e^{20pi i/36},even,33.7472651243455,2.96112697681142,"
         "33.8769269023279,36,37,RowDominant"
     )
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == 1
+    row = rows[0]
+    assert (row["p"], row["k"], row["verdict"]) == ("37", "10", "RowDominant")
+    assert row["paper_label"] == "chi(2)=e^{20pi i/36}"
+    assert float(row["abs_phi"]) == pytest.approx(33.8769269023279)
     mpath = tmp_path / "scan.csv.manifest.json"
     assert mpath.exists()
     manifest = json.loads(mpath.read_text())
@@ -122,6 +132,56 @@ def test_scan_csv_and_manifest(tmp_path, capsys):
     assert manifest["seeds"] == []
     assert manifest["wall_time_s"] >= 0
     assert "version" in manifest
+
+
+def test_manifest_command_reruns_verbatim(tmp_path, capsys):
+    out = tmp_path / "my run.csv"
+    argv = ["bounds", "--p", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {out} and {out}.manifest.json\n")
+    manifest = json.loads((tmp_path / "my run.csv.manifest.json").read_text())
+    words = shlex.split(manifest["command"])
+    assert words[0] == "pascalchar" and words[1:] == argv
+    assert manifest["outputs"] == {str(out): _sha256_file(out)}
+
+
+# exact CSV bytes, CRLF line ends included, of outputs whose values come from no BLAS product
+_PINNED_CSV = [
+    pytest.param(
+        ["scan", "--pmax", "40"],
+        b"p,k,paper_label,parity,re_phi,im_phi,abs_phi,max_T_b,max_T_abs,verdict\r\n"
+        b"37,10,chi(2)=e^{20pi i/36},even,33.7472651243455,2.96112697681142,"
+        b"33.8769269023279,36,37,RowDominant\r\n",
+        id="scan",
+    ),
+    pytest.param(
+        ["ratio", "--p", "5", "--r", "2", "--kmax", "4"],
+        b"k,n,A,phi,ratio\r\n"
+        b"0,1,0,1,0\r\n"
+        b"1,5,1,15,0.266666666666667\r\n"
+        b"2,25,28,225,0.497777777777778\r\n"
+        b"3,125,566,3375,0.670814814814815\r\n"
+        b"4,625,10008,50625,0.790755555555556\r\n",
+        id="ratio",
+    ),
+    pytest.param(
+        ["psi", "--p", "5", "--k", "1", "--grid", "1:5:4@2"],
+        b"x,re_psi,im_psi,abs_psi\r\n"
+        b"1,1,0,1\r\n"
+        b"2.32,1.14520885061399,0.219509714532362,1.16605652791736\r\n"
+        b"3.64,1.23359688579198,0.138742047978278,1.24137449325853\r\n"
+        b"5,1,0,1\r\n",
+        id="psi",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want", _PINNED_CSV)
+def test_csv_bytes_pinned(tmp_path, capsys, argv, want):
+    out = tmp_path / "pinned.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == want
 
 
 def test_scan_empty_range_header_only(tmp_path, capsys):
@@ -144,9 +204,10 @@ def test_scan_output_deterministic(tmp_path, capsys):
 def test_scatter_csv_and_svg(tmp_path, capsys):
     out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
     assert main(["scatter", "--pmax", "20", "--out", str(out), "--svg", str(svg)]) == 0
-    capsys.readouterr()
+    printed = capsys.readouterr().out
     lines = out.read_text().strip().split("\n")
     expected_points = sum(p - 2 for p in (3, 5, 7, 11, 13, 17, 19))
+    assert printed == f"{expected_points} points; wrote {out}, {svg} and {out}.manifest.json\n"
     assert lines[0] == "p,k,parity,re_phi_over_p,im_phi_over_p"
     assert len(lines) == 1 + expected_points
     svg_text = svg.read_text()
@@ -203,11 +264,15 @@ def test_ratio_rejects_non_finite_scale(capsys, scale):
 def test_alpha_csv(tmp_path, capsys):
     out = tmp_path / "a.csv"
     assert main(["alpha", "--p", "5", "--k", "1", "--kmax", "4", "--out", str(out)]) == 0
-    capsys.readouterr()
+    printed = capsys.readouterr().out.splitlines()
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "k,alpha_k,delta,bound_delta"
     assert len(lines) == 5
     assert lines[1].startswith("1,1.22668690829452,,")
+    # stdout prints the same rows at 12 digits
+    for shown, row in zip(printed[1:5], lines[1:]):
+        k, *vals = row.split(",")
+        assert shown.split() == [k] + [f"{float(v):.12g}" for v in vals if v]
 
 
 def test_alpha_work_limit_without_forming_the_power(capsys):
