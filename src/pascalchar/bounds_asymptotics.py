@@ -27,7 +27,7 @@ from .characters import (
     embed_value,
 )
 from .classification import Verdict, classify
-from .core_arith import is_prime, make_context
+from .core_arith import is_prime, make_context, to_digits
 from .errors import (
     IndexOutOfRange,
     LimitExceeded,
@@ -102,32 +102,41 @@ def growth_profile(chi: Character) -> GrowthProfile:
 
 
 def _ratio_sweep_max(lo: int, hi: int, sigma: float, p: int, emb: np.ndarray) -> tuple[float, int]:
-    """Max of |phi(n)|/n^sigma over lo <= n <= hi, with an argmax, from
-    emb, the values of T(0..p-1) and then of phi(0..p).
+    """Max of |phi(n)|/n^sigma over lo <= n <= hi, with its first argmax,
+    from emb, the values of T(0..p-1) and then of phi(0..p).
 
-    Evaluates phi for a whole chunk of n at once: the digit recursion
-    runs over digit positions (a fixed, small count) with elementwise
-    complex vectors, so the cost is O(digits * chunk).
+    Splits n = m*S + r over one low block of S = p^j residues. phi(r)
+    and T(r) for every r < S come from j vectorised append-a-digit steps
+    (leading zero digits keep the identity state (phi, T) = (0, 1)); each
+    high prefix m then gives phi(m*S + r) = phi(m)*phi(p)^j + T(m)*phi(r)
+    for its whole slice of r, so each n costs one complex multiply-add.
     """
-    f_p = emb[2 * p]
-    ndigits = 1
-    while p**ndigits <= hi:
-        ndigits += 1
+    f_p = complex(emb[2 * p])
+    j = 1
+    while p ** (j + 1) <= _SWEEP_CHUNK and p**j <= hi:
+        j += 1
+    block = p**j
+    phi_lo = np.zeros(1, dtype=np.complex128)
+    t_lo = np.ones(1, dtype=np.complex128)
+    for _ in range(j):
+        phi_lo = (phi_lo[:, None] * f_p + np.outer(t_lo, emb[p : 2 * p])).ravel()
+        t_lo = np.outer(t_lo, emb[:p]).ravel()
+    f_block = f_p**j
+    t_digit, phi_digit = emb[:p].tolist(), emb[p : 2 * p].tolist()
     best = -math.inf
     best_n = lo
-    for start in range(lo, hi + 1, _SWEEP_CHUNK):
-        ns = np.arange(start, min(start + _SWEEP_CHUNK - 1, hi) + 1, dtype=np.int64)
-        acc = np.zeros(len(ns), dtype=np.complex128)
-        t = np.ones(len(ns), dtype=np.complex128)
-        for j in range(ndigits - 1, -1, -1):
-            d = (ns // p**j) % p
-            acc = acc * f_p + t * emb[p + d]
-            t = t * emb[d]
-        ratios = np.abs(acc) / ns.astype(np.float64) ** sigma
+    for m in range(lo // block, hi // block + 1):
+        phi_m, t_m = 0j, 1 + 0j
+        for d in reversed(to_digits(m, p).digits):
+            phi_m, t_m = phi_m * f_p + t_m * phi_digit[d], t_m * t_digit[d]
+        base = m * block
+        r0, r1 = max(lo - base, 0), min(hi - base, block - 1) + 1
+        ns = np.arange(base + r0, base + r1, dtype=np.float64)
+        ratios = np.abs(phi_m * f_block + t_m * phi_lo[r0:r1]) / ns**sigma
         i = int(np.argmax(ratios))
         if ratios[i] > best:
             best = float(ratios[i])
-            best_n = int(ns[i])
+            best_n = base + r0 + i
     return best, best_n
 
 
@@ -150,11 +159,16 @@ def alpha_sequence(chi: Character, k_max: int, limit: int = ALPHA_WORK_LIMIT) ->
         raise LimitExceeded(f"k_max = {k_max}: p^k_max = {p}^{k_max} exceeds sweep limit {limit}")
     sigma = growth_profile(chi).theta.real
     emb, _ = _tally_balls(chi)
+    # band k holds p*n for every n of band k-1, and phi(p*n) = phi(n)*phi(p)
+    # with |phi(p)| = p^sigma gives p*n the ratio of n: the exact maxima
+    # never decrease, so rounding must not make these decrease either
     alphas = []
+    alpha = -math.inf
     for k in range(1, k_max + 1):
         lo = p ** (k - 1) + 1
         hi = p**k
-        alphas.append(_ratio_sweep_max(lo, hi, sigma, p, emb)[0])
+        alpha = max(alpha, _ratio_sweep_max(lo, hi, sigma, p, emb)[0])
+        alphas.append(alpha)
     return AlphaSequence(p=p, k=chi.k, re_theta=sigma, alphas=tuple(alphas))
 
 

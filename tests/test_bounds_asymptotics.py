@@ -10,6 +10,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pascalchar import bounds_asymptotics
 from pascalchar.bounds_asymptotics import (
@@ -24,7 +26,7 @@ from pascalchar.bounds_asymptotics import (
     vartheta,
     vartheta_report,
 )
-from pascalchar.char_sequences import FundamentalTables, build_tables, phi_chi, tally_sum
+from pascalchar.char_sequences import FundamentalTables, build_tables, phi_and_T, phi_chi, tally_sum
 from pascalchar.characters import CycInt, character, embed_value
 from pascalchar.core_arith import make_context
 from pascalchar.errors import (
@@ -91,7 +93,25 @@ def test_alpha_sequence_golden_and_invariants(contexts):
     ]
     assert list(seq.alphas) == pytest.approx(expected, rel=1e-10)
     for a, b in zip(seq.alphas, seq.alphas[1:]):
-        assert b >= a - 1e-12  # nondecreasing by definition of nested maxima
+        assert b >= a  # nondecreasing by definition of nested maxima
+
+
+def test_alpha_sequence_paper_command_golden():
+    # the paper's `alpha --p 7 --k 1 --kmax 8`; bands 3, 6 and 8 add no new
+    # maximum, so every step must be >= 0 with no rounding below zero
+    seq = alpha_sequence(character(make_context(7), 1), 8)
+    expected = [
+        1.31061470491312,
+        1.32652893021523,
+        1.32652893021523,
+        1.32661228935138,
+        1.32661804903576,
+        1.32661804903576,
+        1.32661942793611,
+        1.32661942793611,
+    ]
+    assert list(seq.alphas) == pytest.approx(expected, rel=1e-13)
+    assert all(b >= a for a, b in zip(seq.alphas, seq.alphas[1:]))
 
 
 def test_alpha_sequence_steps_shrink_geometrically(contexts):
@@ -380,6 +400,83 @@ def test_bounded_growth_check_fields(ctx37, contexts):
 
     weak = bounded_growth_check(character(contexts[5], 1), eps=0.05, n_max=10**4)
     assert not weak.hypothesis_ok  # row-regular: |phi(p)| strictly beats max |T|
+
+
+def _digit_pass_sweep(lo, hi, sigma, p, emb):
+    """Max of |phi(n)|/n^sigma over lo <= n <= hi with its first argmax,
+    by a full digit pass for every n: the sweep the block sweep replaced."""
+    f_p = emb[2 * p]
+    ndigits = 1
+    while p**ndigits <= hi:
+        ndigits += 1
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    acc = np.zeros(len(ns), dtype=np.complex128)
+    t = np.ones(len(ns), dtype=np.complex128)
+    for j in range(ndigits - 1, -1, -1):
+        d = (ns // p**j) % p
+        acc = acc * f_p + t * emb[p + d]
+        t = t * emb[d]
+    ratios = np.abs(acc) / ns.astype(np.float64) ** sigma
+    i = int(np.argmax(ratios))
+    return float(ratios[i]), int(ns[i])
+
+
+_SWEEP_LIMIT = 5000
+
+
+@st.composite
+def _sweep_ranges(draw):
+    """(p, block, lo, hi) with 2 <= lo <= hi <= 5000, where block = p^e is
+    the sweep chunk the test sets, so S = block once hi >= p^(e-1). The
+    shapes cover hi below the block, lo and hi inside one block, lo on a
+    block boundary, and any range."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 37]))
+    e_max = 1
+    while p ** (e_max + 1) <= _SWEEP_LIMIT // 2:
+        e_max += 1
+    block = p ** draw(st.integers(1, e_max))
+    shape = draw(st.sampled_from(["below", "inside", "boundary", "any"]))
+    m = draw(st.integers(1, _SWEEP_LIMIT // block - 1))
+    if shape == "below":
+        lo, hi = sorted(draw(st.lists(st.integers(2, max(2, block - 1)), min_size=2, max_size=2)))
+    elif shape == "inside":
+        r0, r1 = sorted(draw(st.lists(st.integers(0, block - 1), min_size=2, max_size=2)))
+        lo, hi = m * block + r0, m * block + r1
+    elif shape == "boundary":
+        lo = m * block
+        hi = draw(st.integers(lo, _SWEEP_LIMIT))
+    else:
+        lo, hi = sorted(draw(st.lists(st.integers(2, _SWEEP_LIMIT), min_size=2, max_size=2)))
+    return p, block, lo, hi
+
+
+@given(case=_sweep_ranges(), k=st.integers(0, 35), sigma=st.floats(0.5, 2.0))
+def test_ratio_sweep_matches_digit_pass(contexts, ctx37, case, k, sigma):
+    p, block, lo, hi = case
+    ctx = ctx37 if p == 37 else contexts[p]
+    chi = character(ctx, k % ctx.order)
+    emb = bounds_asymptotics._tally_balls(chi)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds_asymptotics, "_SWEEP_CHUNK", block)
+        best, arg = bounds_asymptotics._ratio_sweep_max(lo, hi, sigma, p, emb)
+    # n and p*n have equal ratios in exact arithmetic, so the argmax
+    # itself may differ from the oracle's; its ratio may not
+    assert best == pytest.approx(_digit_pass_sweep(lo, hi, sigma, p, emb)[0], rel=1e-12)
+    assert lo <= arg <= hi
+    assert _digit_pass_sweep(arg, arg, sigma, p, emb)[0] == pytest.approx(best, rel=1e-12)
+
+
+def test_sup_ratio_matches_exact_phi(contexts):
+    # every |phi(n)| for n <= 300 from the exact recursion, embedded once
+    for k in range(4):
+        chi = character(contexts[5], k)
+        sigma = growth_profile(chi).theta.real
+        tables = build_tables(chi)
+        exact = {n: abs(complex(embed_value(phi_and_T(n, tables)[0])[0])) / n**sigma
+                 for n in range(2, 301)}
+        sup, arg = sup_ratio(chi, sigma, 300)
+        assert sup == pytest.approx(max(exact.values()), rel=1e-12)
+        assert exact[arg] == pytest.approx(sup, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_max", [1, 0, -5])

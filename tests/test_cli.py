@@ -275,6 +275,16 @@ def test_alpha_csv(tmp_path, capsys):
         assert shown.split() == [k] + [f"{float(v):.12g}" for v in vals if v]
 
 
+def test_alpha_steps_never_negative(tmp_path, capsys):
+    # bands 3 and 4 at p = 37, k = 10 add no new maximum: their steps are 0
+    out = tmp_path / "a.csv"
+    assert main(["alpha", "--p", "37", "--k", "10", "--kmax", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
+    assert len(rows) == 3
+    assert all(float(delta) >= 0 for _, _, delta, _ in rows), rows
+
+
 def test_alpha_work_limit_without_forming_the_power(capsys):
     # 7^100000 has 84510 digits; the limit is decided before any such power
     assert main(["alpha", "--p", "7", "--k", "1", "--kmax", "100000"]) == 1
