@@ -70,8 +70,11 @@ def _tally_balls(chi: Character) -> tuple[np.ndarray, np.ndarray]:
 
 def growth_profile(chi: Character) -> GrowthProfile:
     """theta, rho and q from 53-bit tally balls; exact phi(p) only where its ball touches 0."""
+    return _profile_from_balls(chi, *_tally_balls(chi))
+
+
+def _profile_from_balls(chi: Character, mid: np.ndarray, rad: np.ndarray) -> GrowthProfile:
     p = chi.ctx.p
-    mid, rad = _tally_balls(chi)
     val = complex(mid[2 * p])
     if abs(val) <= rad[2 * p]:
         phi_p = tally_sum(chi.ctx.row_dlog_hist.sum(axis=0), chi)
@@ -101,15 +104,21 @@ def growth_profile(chi: Character) -> GrowthProfile:
 # band sweeps
 
 
-def _ratio_sweep_max(lo: int, hi: int, sigma: float, p: int, emb: np.ndarray) -> tuple[float, int]:
+def _ratio_sweep_max(
+    lo: int, hi: int, sigma: float, p: int, emb: np.ndarray, *, _coprime: bool = False
+) -> tuple[float, int]:
     """Max of |phi(n)|/n^sigma over lo <= n <= hi, with its first argmax,
-    from emb, the values of T(0..p-1) and then of phi(0..p).
+    from emb, the values of T(0..p-1) and then of phi(0..p); with
+    _coprime, over the n in that range that p does not divide, of which
+    there must be one.
 
     Splits n = m*S + r over one low block of S = p^j residues. phi(r)
     and T(r) for every r < S come from j vectorised append-a-digit steps
     (leading zero digits keep the identity state (phi, T) = (0, 1)); each
     high prefix m then gives phi(m*S + r) = phi(m)*phi(p)^j + T(m)*phi(r)
     for its whole slice of r, so each n costs one complex multiply-add.
+    As p divides S, p divides n exactly when it divides r, so _coprime
+    drops those r from the block once.
     """
     f_p = complex(emb[2 * p])
     j = 1
@@ -121,22 +130,28 @@ def _ratio_sweep_max(lo: int, hi: int, sigma: float, p: int, emb: np.ndarray) ->
     for _ in range(j):
         phi_lo = (phi_lo[:, None] * f_p + np.outer(t_lo, emb[p : 2 * p])).ravel()
         t_lo = np.outer(t_lo, emb[:p]).ravel()
+    rs = np.arange(block)
+    if _coprime:
+        rs = rs[rs % p != 0]
+        phi_lo = phi_lo[rs]
     f_block = f_p**j
     t_digit, phi_digit = emb[:p].tolist(), emb[p : 2 * p].tolist()
     best = -math.inf
     best_n = lo
     for m in range(lo // block, hi // block + 1):
+        base = m * block
+        i0, i1 = np.searchsorted(rs, (lo - base, hi - base + 1))
+        if i0 == i1:
+            continue
         phi_m, t_m = 0j, 1 + 0j
         for d in reversed(to_digits(m, p).digits):
             phi_m, t_m = phi_m * f_p + t_m * phi_digit[d], t_m * t_digit[d]
-        base = m * block
-        r0, r1 = max(lo - base, 0), min(hi - base, block - 1) + 1
-        ns = np.arange(base + r0, base + r1, dtype=np.float64)
-        ratios = np.abs(phi_m * f_block + t_m * phi_lo[r0:r1]) / ns**sigma
+        ns = (base + rs[i0:i1]).astype(np.float64)
+        ratios = np.abs(phi_m * f_block + t_m * phi_lo[i0:i1]) / ns**sigma
         i = int(np.argmax(ratios))
         if ratios[i] > best:
             best = float(ratios[i])
-            best_n = base + r0 + i
+            best_n = base + int(rs[i0 + i])
     return best, best_n
 
 
@@ -157,17 +172,18 @@ def alpha_sequence(chi: Character, k_max: int, limit: int = ALPHA_WORK_LIMIT) ->
     # p^k_max >= 2^k_max > limit from limit's bit length on: no huge power is formed
     if k_max >= limit.bit_length() or p**k_max > limit:
         raise LimitExceeded(f"k_max = {k_max}: p^k_max = {p}^{k_max} exceeds sweep limit {limit}")
-    sigma = growth_profile(chi).theta.real
-    emb, _ = _tally_balls(chi)
+    emb, rad = _tally_balls(chi)
+    sigma = _profile_from_balls(chi, emb, rad).theta.real
     # band k holds p*n for every n of band k-1, and phi(p*n) = phi(n)*phi(p)
-    # with |phi(p)| = p^sigma gives p*n the ratio of n: the exact maxima
-    # never decrease, so rounding must not make these decrease either
+    # with |phi(p)| = p^sigma gives p*n the ratio of n: the running max
+    # already holds those ratios, so bands k >= 2 sweep only p not dividing
+    # n, and a band that adds no new maximum steps by exactly 0
     alphas = []
     alpha = -math.inf
     for k in range(1, k_max + 1):
         lo = p ** (k - 1) + 1
         hi = p**k
-        alpha = max(alpha, _ratio_sweep_max(lo, hi, sigma, p, emb)[0])
+        alpha = max(alpha, _ratio_sweep_max(lo, hi, sigma, p, emb, _coprime=k >= 2)[0])
         alphas.append(alpha)
     return AlphaSequence(p=p, k=chi.k, re_theta=sigma, alphas=tuple(alphas))
 

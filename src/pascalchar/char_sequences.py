@@ -8,13 +8,16 @@ product over the base-p digits of n, and phi obeys the block identity
 
 with T(m*p^j + r) = T(m)*T(r). So a block r of j digits acts on the
 state (phi, T) as one lower-triangular matrix [[phi(p)^j, 0],
-[phi(r), T(r)]]. phi_and_T halves the digit string recursively down to
-single digits, which read the tables, and joins the halves back up this
-balanced tree (binary splitting), so the halves of every join have
-about equal length. phi_chi and T_chi keep the one-digit recursion
-(the case j = 1) as its oracles. Everything here stays exact (CycInt
-coefficient vectors, arbitrary-size integers); numeric embeddings happen
-only at the reporting edge.
+[phi(r), T(r)]]. phi_and_T cuts the digit string into leaf blocks of
+b digits, b the most for which (p(p+1)/2)^b < 2^63, and computes every
+leaf exactly in int64 in one vectorised pass of one-digit steps: every
+coefficient counts triangle entries below p^b, so none can overflow.
+It then joins the leaves up a balanced tree (binary splitting), so the
+halves of every join have about equal length. phi_chi and T_chi keep
+the one-digit recursion (the case j = 1) on CycInt values as its
+oracles. Everything here stays exact (int64 only under that bound, then
+CycInt coefficient vectors of arbitrary-size integers); numeric
+embeddings happen only at the reporting edge.
 
 Residue counts need no characters at all. CycInt multiplication is
 convolution in the group ring Z[C_{p-1}], so for the generator character
@@ -24,9 +27,13 @@ row n and phi(n) tallies rows 0..n-1 by discrete log.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .characters import Character, CycInt, _cyclic_convolve
 from .core_arith import ROW_ORACLE_LIMIT, PrimeContext, to_digits
@@ -37,17 +44,26 @@ from .errors import IndexOutOfRange, LimitExceeded
 class FundamentalTables:
     """Exact T and phi values over the first p rows for one character.
 
-    T_table[b] = T(b) for 0 <= b < p; phi_table[m] = phi(m) for
-    0 <= m <= p. These two vectors drive every larger evaluation.
+    layout is the int64 (2p+1, order) coefficient array of table_layout:
+    rows 0..p-1 hold T(b) for b < p, and rows p..2p hold phi(m) for
+    m <= p. phi_and_T reads it directly; T_table and phi_table are the
+    same rows as CycInt values, for the oracles and the reporting edge.
     """
 
     chi: Character
-    T_table: tuple[CycInt, ...]
-    phi_table: tuple[CycInt, ...]
+    layout: np.ndarray
 
     @property
     def p(self) -> int:
         return self.chi.ctx.p
+
+    @cached_property
+    def T_table(self) -> tuple[CycInt, ...]:
+        return tuple(CycInt(self.chi.order, tuple(row)) for row in self.layout[: self.p].tolist())
+
+    @cached_property
+    def phi_table(self) -> tuple[CycInt, ...]:
+        return tuple(CycInt(self.chi.order, tuple(row)) for row in self.layout[self.p :].tolist())
 
     @property
     def phi_p(self) -> CycInt:
@@ -75,41 +91,116 @@ def table_layout(rows: np.ndarray) -> np.ndarray:
 
 
 def build_tables(chi: Character) -> FundamentalTables:
-    p = chi.ctx.p
-    coeff = table_layout(pushforward(chi.ctx.row_dlog_hist, chi)).tolist()
-    T_table = tuple(CycInt(chi.order, tuple(row)) for row in coeff[:p])
-    phi_table = tuple(CycInt(chi.order, tuple(row)) for row in coeff[p:])
-    return FundamentalTables(chi, T_table, phi_table)
+    return FundamentalTables(chi, table_layout(pushforward(chi.ctx.row_dlog_hist, chi)))
+
+
+def _leaf_digits(p: int) -> int:
+    """The most digits b with (p(p+1)/2)^b < 2^63, the leaf size of
+    phi_and_T (at least 1 for every p below 4*10^9)."""
+    tri = p * (p + 1) // 2
+    b = 1
+    while tri ** (b + 1) < 1 << 63:
+        b += 1
+    return b
+
+
+def _leaf_blocks(chunks: np.ndarray, tables: FundamentalTables) -> tuple[np.ndarray, np.ndarray]:
+    """int64 phi and T of every row of chunks (C, b), digits most
+    significant first, and then phi(p)^b in an extra last row.
+
+    With g = gcd(order, k) every table row vanishes off the multiples of
+    g, so the states keep only those m = order/g coefficients, and the
+    product with a fixed row is a matmul with its (m, m) circulant, a
+    strided view of the row written out twice. One append-a-digit step
+    multiplies every phi by phi(p) at once and every chunk with digit d
+    by the rows of d; digit 0 leaves a state as it is (phi(0) = 0 and
+    T(0) = 1), so the zero padding of the top chunk costs nothing. The
+    extra row starts at (phi(p), 0) and meets only zeros.
+    """
+    p, order = tables.p, tables.chi.order
+    lay = tables.layout[:, :: math.gcd(order, tables.chi.k)]
+    m = lay.shape[1]
+    # circ[i][x, y] = lay[i, (y - x) % m], so that v @ circ[i] = v * row i mod x^m - 1
+    circ = sliding_window_view(np.concatenate([lay[:, 1:], lay], axis=1), m, axis=1)[:, ::-1]
+    phi = np.vstack([lay[p + chunks[:, 0]], lay[2 * p]])
+    t = np.vstack([lay[chunks[:, 0]], np.zeros(m, dtype=np.int64)])
+    for column in chunks[:, 1:].T:
+        phi = phi @ circ[2 * p]
+        for d in set(column.tolist()) - {0}:
+            rows = (column == d).nonzero()[0]
+            t_rows = t[rows]
+            phi[rows] += t_rows @ circ[p + d]
+            t[rows] = t_rows @ circ[d]
+    return phi, t
 
 
 def phi_and_T(n: int, tables: FundamentalTables) -> tuple[CycInt, CycInt]:
-    """(phi(n), T(n)) by halving the base-p digits of n recursively.
+    """(phi(n), T(n)) by halving the base-p digits of n recursively,
+    down to leaf blocks of b digits computed exactly in int64.
 
-    A digit string of length L > 1 splits into its high L - L//2 digits
-    and its low j = L//2 digits, and the halves join by the block
-    identity; one digit d reads the tables. The halves of every join have
-    about equal length, so wide values meet wide values. Each phi(p)^j is
-    formed once per call, from phi(p)^(j//2) and phi(p)^(j - j//2).
+    The digits split, from the low end, into C = ceil(L/b) chunks of b
+    digits, the top one padded with leading zeros. A run of C > 1 chunks
+    splits into its high C - C//2 and its low j = C//2 chunks, and the
+    halves join by the block identity with phi(p)^(j*b); the halves of
+    every join have about equal length, so wide values meet wide values.
+    Each phi(p)^(j*b) is formed once per call, from phi(p)^((j//2)*b) and
+    phi(p)^((j - j//2)*b), and phi(p)^b comes from the leaf pass. All the
+    leaves come from one vectorised pass (_leaf_blocks); each becomes a
+    CycInt when the recursion reaches it.
+
+    Why int64 is exact: b is the largest integer with (p(p+1)/2)^b < 2^63.
+    Every coefficient of the tables is a nonnegative count of entries
+    (pushforward only adds tallies), so every coefficient of phi(r),
+    T(r) and phi(p)^s built from them is a sum of products of
+    nonnegative counts, and every partial sum of a convolution that forms
+    one is at most the finished coefficient, whatever the summation
+    order. The coefficients of phi(r) add up to the number of nonzero
+    entries in rows 0..r-1, those of T(r) to the number in row r, and
+    those of phi(p)^s to (p(p+1)/2)^s, the number in rows below p^s. For
+    r < p^b and s <= b all of these are at most (p(p+1)/2)^b < 2^63.
     """
     if n < 0:
         raise IndexOutOfRange(f"n={n} negative")
-    digits = to_digits(n, tables.p).digits[::-1]
-    powers = {1: tables.phi_p}
+    order, b = tables.chi.order, _leaf_digits(tables.p)
+    digits = to_digits(n, tables.p).digits
+    count = -(-len(digits) // b)
+    chunks = np.array(digits + (0,) * (count * b - len(digits)))[::-1].reshape(count, b)
+    phi_rows, t_rows = (x.tolist() for x in _leaf_blocks(chunks, tables))
+    g = order // len(phi_rows[0])
 
-    def power(j: int) -> CycInt:
-        if j not in powers:
-            powers[j] = power(j // 2) * power(j - j // 2)
-        return powers[j]
+    def value(row: list[int]) -> CycInt:
+        coeffs = [0] * order
+        coeffs[::g] = row
+        return CycInt(order, tuple(coeffs))
 
-    def block(lo: int, hi: int) -> tuple[CycInt, CycInt]:
-        if hi - lo == 1:
-            return tables.phi_table[digits[lo]], tables.T_table[digits[lo]]
-        j = (hi - lo) // 2
-        phi_hi, t_hi = block(lo, hi - j)
-        phi_lo, t_lo = block(hi - j, hi)
-        return phi_hi * power(j) + t_hi * phi_lo, t_hi * t_lo
+    def leaf(c: int) -> tuple[CycInt, CycInt]:
+        return value(phi_rows[c]), value(t_rows[c])
 
-    return block(0, len(digits))
+    return _join(0, count, leaf, {1: value(phi_rows[count])})
+
+
+# _join and _power recurse at module level: a nested function that calls
+# itself is a reference cycle, which would keep every value it held,
+# phi(p)^(j*b) included, alive until the cycle collector runs
+
+
+def _join(
+    lo: int, hi: int, leaf: Callable[[int], tuple[CycInt, CycInt]], powers: dict[int, CycInt]
+) -> tuple[CycInt, CycInt]:
+    """(phi, T) of the chunks lo..hi-1 taken as one number; powers maps
+    j to phi(p)^(j*b)."""
+    if hi - lo == 1:
+        return leaf(lo)
+    j = (hi - lo) // 2
+    phi_hi, t_hi = _join(lo, hi - j, leaf, powers)
+    phi_lo, t_lo = _join(hi - j, hi, leaf, powers)
+    return phi_hi * _power(j, powers) + t_hi * phi_lo, t_hi * t_lo
+
+
+def _power(j: int, powers: dict[int, CycInt]) -> CycInt:
+    if j not in powers:
+        powers[j] = _power(j // 2, powers) * _power(j - j // 2, powers)
+    return powers[j]
 
 
 def _times_row(x: CycInt, row: CycInt) -> CycInt:

@@ -16,6 +16,7 @@ from pascalchar.char_sequences import (
     A_count_formula_all,
     CountVector,
     T_chi,
+    _leaf_digits,
     a_row,
     build_tables,
     phi_and_T,
@@ -113,23 +114,67 @@ def test_phi_product_and_shift_identities(p, data):
 
 
 @settings(max_examples=150)
-@given(st.sampled_from([2, 3, 5, 37, 97]), st.data())
+@given(st.sampled_from([2, 3, 5, 37, 97, 101, 229]), st.data())
 def test_product_tree_equals_sequential_recursion(p, data):
     ctx = make_context(p)
-    k = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=max(p - 2, 0))))
+    order = ctx.order
+    # k = 0 and every k sharing a factor with p - 1 leave tables on a
+    # support stride above 1, so the leaf pass keeps fewer coefficients
+    shared = [k for k in range(order) if math.gcd(k, order) > 1] or [0]
+    k = data.draw(st.one_of(
+        st.none(), st.just(0), st.sampled_from(shared), st.integers(min_value=0, max_value=order - 1)
+    ))
     tables = ctx.group_ring_tables if k is None else build_tables(character(ctx, k))
-    # digit counts at and either side of the halving's powers of two
-    j = data.draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]))
+    # digit counts at and either side of the halving's powers of two and
+    # of the first three multiples of the leaf size; the oracle's dense
+    # products at orders past 100 keep those primes to shorter n
+    b = _leaf_digits(p)
+    j = data.draw(st.sampled_from(
+        [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33] + [63, 64, 65] * (p < 100)
+        + [c * b + e for c in (1, 2, 3) for e in (-1, 0, 1)]
+    ))
     n = data.draw(st.one_of(
         st.just(0),
         st.integers(min_value=0, max_value=p - 1),
         st.sampled_from([p**j, p**j - 1]),
         st.integers(min_value=p ** (j - 1), max_value=p**j - 1),
-        st.integers(min_value=1, max_value=300).flatmap(
+        st.integers(min_value=1, max_value=300 if p < 100 else 60).flatmap(
             lambda d: st.integers(min_value=10 ** (d - 1), max_value=10**d - 1)
         ),
     ))
     assert phi_and_T(n, tables) == (phi_chi(n, tables), T_chi(n, tables))
+
+
+@pytest.mark.parametrize("p, k", [
+    (2, 0), (3, 1), (5, 2), (37, None), (37, 10), (61, None),
+    (101, 0), (101, 28), (229, None), (229, 12),
+])
+def test_product_tree_at_leaf_boundaries(p, k):
+    ctx = make_context(p)
+    tables = ctx.group_ring_tables if k is None else build_tables(character(ctx, k))
+    b = _leaf_digits(p)
+    rng = random.Random(p)
+    for c in (1, 2, 3):
+        ns = [rng.randrange(p ** (length - 1), p**length) for length in (c * b - 1, c * b, c * b + 1)]
+        # every digit p - 1: the largest coefficients c full leaves hold
+        for n in ns + [p ** (c * b) - 1]:
+            assert phi_and_T(n, tables) == (phi_chi(n, tables), T_chi(n, tables)), (p, k, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 37, 61, 101, 229])
+def test_leaf_size_at_its_bound(p):
+    # rows below p^b hold (p(p+1)/2)^b nonzero entries, the most that any
+    # coefficient sum in one leaf reaches; b is the most digits under 2^63
+    tables = make_context(p).group_ring_tables
+    b, tri = _leaf_digits(p), p * (p + 1) // 2
+    assert tri**b < 2**63 <= tri ** (b + 1)
+    # phi(p^b) = phi(p)^b, from the leaf pass's extra row
+    assert sum(phi_and_T(p**b, tables)[0].coeffs) == tri**b
+    # one full leaf of digits p - 1: phi(p^b - 1) + T(p^b - 1) = phi(p^b),
+    # and no entry of row p^b - 1 vanishes mod p
+    phi, t = phi_and_T(p**b - 1, tables)
+    assert sum(phi.coeffs) + sum(t.coeffs) == tri**b
+    assert sum(t.coeffs) == p**b
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 64, 65, 3000])
